@@ -44,6 +44,7 @@ __all__ = [
     "continue_minor", "continue_labels", "alien_plus", "alien",
     "minor_germ_sampler", "germ_ratio", "germ_magnitude",
     "ray_sampler", "surface_sampler", "export_grid_csv", "PROXIMITY_RADIUS",
+    "ALIEN_MAX_M",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -561,11 +562,24 @@ def alien_plus(f: BorelFunction, omega: complex) -> SingularityData:
                            _variation_sampler(f.family, 2j * math.pi * m, labels))
 
 
+# alien() enumerates 2^(|m|-1) lateral words, so its build time doubles
+# with each step of |m|: about 1.5 s at |m| = 14 on one 2-vCPU Xeon core,
+# an extrapolated 7 s at 16
+ALIEN_MAX_M = 16
+
+
 def alien(f: BorelFunction, omega: complex) -> SingularityData:
     """Averaged alien operator: weights p!q!/r! over the 2^(r-1) lateral
-    words with p rights and q lefts among the r-1 interior points."""
+    words with p rights and q lefts among the r-1 interior points.
+
+    The cost doubles with |m|, so omega = 2*pi*i*m with |m| > ALIEN_MAX_M
+    (16) raises DomainError; alien_plus has no such bound."""
     m = _omega_index(omega)
     r = abs(m)
+    if r > ALIEN_MAX_M:
+        raise DomainError(
+            f"averaged alien operator limited to |m| <= {ALIEN_MAX_M} "
+            f"(it enumerates 2^(|m|-1) words), got m = {m}")
     words = [[]]
     for _ in range(r - 1):
         words = [w + [s] for w in words for s in ("right", "left")]

@@ -19,8 +19,9 @@ import math
 import sys
 
 from . import reference
-from .borelplane import (MINOR_LAMBDA32, alien, alien_plus, germ_magnitude,
-                         germ_ratio, minor_germ_sampler, ray_sampler)
+from .borelplane import (ALIEN_MAX_M, MINOR_LAMBDA32, alien, alien_plus,
+                         germ_magnitude, germ_ratio, minor_germ_sampler,
+                         ray_sampler)
 from .errors import GammaresError
 from .exactseries import (a_coefficients, lambda_tilde, series_exp,
                           stirling_series)
@@ -255,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_realmajor)
 
     p = sub.add_parser("alien", help="alien operators at 2*pi*i*m", parents=[common])
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True,
+                   help=f"omega = 2*pi*i*m, m != 0; --op avg needs |m| <= {ALIEN_MAX_M}")
     p.add_argument("--op", choices=("plus", "avg"), default="plus")
     p.set_defaults(func=_cmd_alien)
 

@@ -132,6 +132,12 @@ def laplace_ray(minor, theta, z: complex, spec: QuadratureSpec,
         ts = np.asarray(ts, dtype=float)
         return np.exp(-zp * ts) * np.asarray(minor(ts), dtype=complex) * ph
 
+    def decay_break(lo, hi, x):
+        # the kernel has fallen by e^-40 at x; when that happens within
+        # the first 5% of [lo, hi], every Kronrod node of a single first
+        # panel would miss it and the error estimate would read converged
+        return (x,) if x < lo + 0.05 * (hi - lo) else ()
+
     value = 0j
     err = 0.0
     panels = 0
@@ -143,12 +149,15 @@ def laplace_ray(minor, theta, z: complex, spec: QuadratureSpec,
             ss = np.asarray(ss, dtype=float)
             return g(ss * ss) * 2.0 * ss
 
-        part = adaptive_quad(g_sub, 0.0, math.sqrt(t0), spec)
+        s0 = math.sqrt(t0)
+        part = adaptive_quad(g_sub, 0.0, s0, spec,
+                             breaks=decay_break(0.0, s0, math.sqrt(40.0 / c)))
         value += part.value
         err += part.est_error
         panels += part.panels
         lo = t0
-    part = adaptive_quad(g, lo, r_cut, spec)
+    part = adaptive_quad(g, lo, r_cut, spec,
+                         breaks=decay_break(lo, r_cut, lo + 40.0 / c))
     value += part.value
     err += part.est_error
     panels += part.panels

@@ -1,15 +1,18 @@
 """Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
 
-The integrand receives a float ndarray of parameter values and returns a
-complex ndarray; panels are refined worst-error-first.  The final sum is
-taken in panel-position order with compensated summation, so a given
-QuadratureSpec always reproduces the same bits regardless of refinement
-history (panel evaluation itself is embarrassingly parallel).
+The integrand receives a 1-D float ndarray of parameter values and returns
+a complex ndarray of the same length.  One call carries the Kronrod nodes
+of many panels at once (every panel a refinement sweep bisects, as in
+Shampine's vectorized quadgk), so the integrand must act elementwise:
+a value may depend only on its own parameter, never on the array's
+length or on its neighbours.  `breaks` sets extra initial panel
+boundaries, at kinks, jumps or where the integrand changes scale.  The
+final sum is taken in panel-position order with compensated summation, so
+a given QuadratureSpec always reproduces the same bits.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad", "quad_path"]
+__all__ = ["QuadratureSpec", "QuadResult", "adaptive_quad"]
 
 # Kronrod-15 abscissae on [-1, 1] and weights; Gauss-7 weights sit on the
 # odd-index nodes.  Values from the standard QUADPACK tables.
@@ -72,71 +75,73 @@ class QuadResult:
         return complex(self.value)
 
 
-def _panel(f, a: float, b: float):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = np.asarray(f(c + h * _XGK), dtype=complex)
-    ik = h * np.sum(_WGK * fv)
-    ig = h * np.sum(_WG * fv[1::2])
-    return ik, abs(ik - ig)
+# Kronrod weights, and Kronrod minus Gauss weights (the error estimate)
+_W = np.stack([_WGK, _WGK - np.insert(_WG, range(8), 0.0)], axis=1)
+
+
+def _sweep(f, lo, hi):
+    """Kronrod values and error estimates on every panel [lo_i, hi_i] from
+    one call of f on all their nodes."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = c[:, None] + h[:, None] * _XGK
+    fv = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    r = h[:, None] * (fv @ _W)
+    return r[:, 0], np.abs(r[:, 1])
 
 
 def adaptive_quad(f, a: float, b: float, spec: QuadratureSpec,
-                  rel_tol=None, abs_tol=None) -> QuadResult:
-    """Integrate f over [a, b] to the spec tolerances (overridable)."""
-    rel = spec.rel_tol if rel_tol is None else rel_tol
-    atol = spec.abs_tol if abs_tol is None else abs_tol
+                  breaks=()) -> QuadResult:
+    """Integrate f over [a, b] to the spec tolerances.
+
+    `breaks` are extra initial panel boundaries; those outside (a, b) are
+    ignored.  Each sweep bisects the fewest worst panels whose errors leave
+    at most the target in the others (so always the worst panel) and
+    evaluates all the children in one call of f.  No more than
+    spec.max_subdivisions panels are evaluated: when a sweep would pass
+    that count, only its worst panels that fit are bisected, and
+    QuadratureError is raised once none fits.
+    """
     if a == b:
         return QuadResult(0j, 0.0, 0)
-    val, err = _panel(f, a, b)
-    # heap of (-error, tiebreak, a, b, value, error)
-    heap = [(-err, 0, a, b, val, err)]
-    count = 1
+    inner = sorted({x for x in breaks if min(a, b) < x < max(a, b)})
+    edges = np.array([a] + (inner if a < b else inner[::-1]) + [b], dtype=float)
+    # the current panels are the first n entries; a bisected panel keeps
+    # its slot for the left child and the right child is appended
+    n = count = len(edges) - 1
+    cap = max(n, spec.max_subdivisions)
+    lo, hi = np.empty(cap), np.empty(cap)
+    val, err = np.empty(cap, dtype=complex), np.empty(cap)
+    lo[:n], hi[:n] = edges[:-1], edges[1:]
+    val[:n], err[:n] = _sweep(f, lo[:n], hi[:n])
     while True:
-        total = sum(item[4] for item in heap)
-        toterr = sum(item[5] for item in heap)
-        if toterr <= max(atol, rel * abs(total)):
+        target = max(spec.abs_tol, spec.rel_tol * abs(val[:n].sum()))
+        toterr = err[:n].sum()
+        if toterr <= target:
             break
-        if count >= spec.max_subdivisions:
+        room = (spec.max_subdivisions - count) // 2
+        if room < 1:
             raise QuadratureError(
                 f"quadrature stalled: {count} panels, error {toterr:.3e} "
                 f"on [{a:g}, {b:g}]")
-        _, _, pa, pb, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        for qa, qb in ((pa, mid), (mid, pb)):
-            v, e = _panel(f, qa, qb)
-            count += 1
-            heapq.heappush(heap, (-e, count, qa, qb, v, e))
+        # bisect the fewest worst panels whose errors leave at most the
+        # target in the rest (a NaN error sorts last, so it is always
+        # bisected), but no more than `room` of them
+        order = np.argsort(err[:n], kind="stable")
+        keep_n = np.searchsorted(np.cumsum(err[order]), target, side="right")
+        split = order[max(keep_n, n - room):]
+        k = len(split)
+        left, right = lo[split], hi[split]
+        mid = 0.5 * (left + right)
+        cval, cerr = _sweep(f, np.concatenate((left, mid)),
+                            np.concatenate((mid, right)))
+        hi[split], val[split], err[split] = mid, cval[:k], cerr[:k]
+        lo[n:n + k], hi[n:n + k] = mid, right
+        val[n:n + k], err[n:n + k] = cval[k:], cerr[k:]
+        n += k
+        count += 2 * k
     # deterministic total: order panels by position, compensated sums
-    panels = sorted(heap, key=lambda item: item[2])
-    re = math.fsum(item[4].real for item in panels)
-    im = math.fsum(item[4].imag for item in panels)
-    err = math.fsum(item[5] for item in panels)
-    return QuadResult(complex(re, im), err, count)
-
-
-def quad_path(f, nodes, spec: QuadratureSpec, rel_tol=None, abs_tol=None) -> QuadResult:
-    """Integrate f(Q) dQ along the polyline through complex `nodes`.
-
-    f maps a complex ndarray to a complex ndarray; each straight segment
-    is parameterized affinely and integrated adaptively.
-    """
-    nodes = [complex(n) for n in nodes]
-    if len(nodes) < 2:
-        raise QuadratureError("polyline needs at least two nodes")
-    total = 0j
-    err = 0.0
-    panels = 0
-    m = len(nodes) - 1
-    for q0, q1 in zip(nodes[:-1], nodes[1:]):
-        d = q1 - q0
-        if d == 0:
-            continue
-        seg = adaptive_quad(lambda t, q0=q0, d=d: f(q0 + t * d) * d,
-                            0.0, 1.0, spec,
-                            rel_tol=rel_tol,
-                            abs_tol=(spec.abs_tol if abs_tol is None else abs_tol) / m)
-        total += seg.value
-        err += seg.est_error
-        panels += seg.panels
-    return QuadResult(total, err, panels)
+    order = np.argsort(lo[:n] if a < b else -lo[:n], kind="stable")
+    re = math.fsum(val.real[order])
+    im = math.fsum(val.imag[order])
+    return QuadResult(complex(re, im), math.fsum(err[order]), count)

@@ -246,47 +246,34 @@ def _build_path(roots: dict, flags: dict, t_l: float, t_r: float,
     return dedup
 
 
-def _tracked_arg(h_of, nodes, spec: QuadratureSpec):
+def _tracked_arg(h_of, nodes):
     """Unwrapped argument of h along the polyline, anchored to the
     principal (near-zero) argument at the right end.
 
-    Returns a callable (segment_index, t_array) -> unwrapped angles, where
-    t parameterizes each segment affinely on [0, 1]."""
-    segs = list(zip(nodes[:-1], nodes[1:]))
+    Returns a callable (segment indices, t) -> unwrapped angles, where t
+    parameterizes each segment affinely on [0, 1]."""
+    q0 = np.asarray(nodes[:-1], dtype=complex)[:, None]
+    d = np.diff(np.asarray(nodes, dtype=complex))[:, None]
     samples = 96
     for _ in range(7):
-        data = []
-        ok = True
-        for q0, q1 in segs:
-            ts = np.linspace(0.0, 1.0, samples)
-            vals = h_of(q0 + ts * (q1 - q0))
-            raw = np.unwrap(np.angle(vals))
-            if np.max(np.abs(np.diff(raw))) > 0.9 * math.pi:
-                ok = False
-                break
-            data.append((ts, raw))
-        if ok:
+        ts = np.linspace(0.0, 1.0, samples)
+        raw = np.unwrap(np.angle(h_of(q0 + ts * d)), axis=1)
+        if np.max(np.abs(np.diff(raw, axis=1))) <= 0.9 * math.pi:
             break
         samples *= 2
     else:
         raise QuadratureError("argument tracking failed to resolve winding")
     # chain offsets so the angle is continuous across segment boundaries,
     # then shift everything so the right end carries its principal value
-    offsets = [0.0]
-    for i in range(1, len(segs)):
-        prev_end = data[i - 1][1][-1] + offsets[i - 1]
-        here = data[i][1][0]
-        offsets.append(prev_end - here)
-    right_raw = data[-1][1][-1] + offsets[-1]
+    offsets = np.concatenate(([0.0], np.cumsum(raw[:-1, -1] - raw[1:, 0])))
     right_principal = cmath.phase(complex(h_of(np.array([nodes[-1]]))[0]))
-    shift = right_principal - right_raw
-    offsets = [o + shift for o in offsets]
+    table = raw + (offsets + right_principal - raw[-1, -1] - offsets[-1])[:, None]
 
-    def angle(seg_idx: int, ts):
-        ts = np.asarray(ts, dtype=float)
-        base_t, base_a = data[seg_idx]
-        interp = np.interp(ts, base_t, base_a) + offsets[seg_idx]
-        return interp
+    def angle(seg, ts):
+        pos = ts * (samples - 1)
+        k = np.minimum(pos.astype(int), samples - 2)
+        frac = pos - k
+        return (1.0 - frac) * table[seg, k] + frac * table[seg, k + 1]
 
     return angle
 
@@ -294,43 +281,42 @@ def _tracked_arg(h_of, nodes, spec: QuadratureSpec):
 def _integrate_deformed(cc: complex, xi: complex, nodes, spec: QuadratureSpec,
                         half_weight: bool):
     """Quadrature of (xi + e^Q - Q - 1)^(c-3/2) [* e^(Q/2)] along the
-    polyline with branch tracking, plus the closed-form left tail."""
+    polyline with branch tracking, plus the closed-form left tail.
+
+    One adaptive quadrature covers the whole path: s in [0, n_seg] runs
+    over segment floor(s), with the polyline nodes as breaks."""
     ex = cc - 1.5
+    q0 = np.asarray(nodes[:-1], dtype=complex)
+    d = np.diff(np.asarray(nodes, dtype=complex))
+    last = len(d) - 1
 
     def h_of(qs):
         qs = np.asarray(qs, dtype=complex)
         return xi + np.exp(qs) - qs - 1.0
 
-    angle = _tracked_arg(h_of, nodes, spec)
-    total = 0j
-    err = 0.0
-    panels = 0
-    for idx, (q0, q1) in enumerate(zip(nodes[:-1], nodes[1:])):
-        d = q1 - q0
+    angle = _tracked_arg(h_of, nodes)
 
-        def seg(ts, idx=idx, q0=q0, d=d):
-            ts = np.asarray(ts, dtype=float)
-            qs = q0 + ts * d
-            h = h_of(qs)
-            ang = angle(idx, ts)
-            # land the tracked angle on the branch nearest the presampled one
-            principal = np.angle(h)
-            k = np.round((ang - principal) / (2.0 * math.pi))
-            tracked = principal + 2.0 * math.pi * k
-            powed = np.exp(ex * (np.log(np.abs(h)) + 1j * tracked))
-            if half_weight:
-                powed = powed * np.exp(0.5 * qs)
-            return powed * d
+    def integrand(ss):
+        ss = np.asarray(ss, dtype=float)
+        seg = np.minimum(ss.astype(int), last)
+        ts = ss - seg
+        qs = q0[seg] + ts * d[seg]
+        h = h_of(qs)
+        # land the tracked angle on the branch nearest the presampled one
+        principal = np.angle(h)
+        k = np.round((angle(seg, ts) - principal) / (2.0 * math.pi))
+        tracked = principal + 2.0 * math.pi * k
+        powed = np.exp(ex * (np.log(np.abs(h)) + 1j * tracked))
+        if half_weight:
+            powed = powed * np.exp(0.5 * qs)
+        return powed * d[seg]
 
-        part = adaptive_quad(seg, 0.0, 1.0, spec,
-                             abs_tol=spec.abs_tol / max(1, len(nodes)))
-        total += part.value
-        err += part.est_error
-        panels += part.panels
+    part = adaptive_quad(integrand, 0.0, float(len(d)), spec,
+                         breaks=range(1, len(d)))
     # closed-form left tail on (-inf, -T] with the tracked branch
     t_l = -nodes[0].real
     h_left = complex(h_of(np.array([nodes[0]]))[0])
-    ang_left = float(angle(0, np.array([0.0]))[0])
+    ang_left = float(angle(np.array([0]), np.array([0.0]))[0])
     if not half_weight:
         log_h = math.log(abs(h_left)) + 1j * ang_left
         tail = cmath.exp((cc - 0.5) * log_h) / (0.5 - cc)
@@ -338,7 +324,7 @@ def _integrate_deformed(cc: complex, xi: complex, nodes, spec: QuadratureSpec,
     else:
         tail = 0j
         tail_err = (t_l ** max(cc.real - 1.5, -10.0)) * 2.0 * math.exp(-0.5 * t_l)
-    return total + tail, err + tail_err, panels
+    return part.value + tail, part.est_error + tail_err, part.panels
 
 
 def rho_continue(c, path_xi: Sequence[complex],
@@ -400,8 +386,10 @@ def rho_on_sheet(c, r: float, theta: float,
     short of where the roots pinch the tails is reachable."""
     if abs(theta) <= math.pi - 0.2:
         return rho_lambda_c(c, r * cmath.exp(1j * theta), spec)
+    # chords of at most pi/4 stay r0 cos(pi/8) from the origin and far
+    # from 2*pi*i*Z*; rho_continue's controller sizes the substeps
     r0 = min(r, 1.0)
-    steps = max(8, int(abs(theta) / 0.1) + 1)
+    steps = math.ceil(abs(theta) / (math.pi / 4))
     path = [r0 * cmath.exp(1j * theta * k / steps) for k in range(steps + 1)]
     if r > r0:
         path.append(r * cmath.exp(1j * theta))

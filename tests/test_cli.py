@@ -106,6 +106,13 @@ def test_alien_command(capsys):
     assert abs(rec["ratio"][0] + 0.5) < 1e-6
 
 
+def test_alien_avg_rejects_large_m(capsys):
+    # 2^39 lateral words would be enumerated; the bound refuses up front
+    code, _, err = run_cli(capsys, "alien", "--m", "40", "--op", "avg")
+    assert code == 3
+    assert "numerical failure" in err
+
+
 def test_verify_fast_suite(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, err = run_cli(capsys, "verify", "--suite", "fast",

@@ -208,3 +208,28 @@ def test_hankel_chi_major():
                              minor_ray=mray)
         ref = z ** -1.5 / lambda_ref(z)
         assert abs(res.value - ref) / abs(ref) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["lambda_3_2", "chi", "mu"])
+@pytest.mark.parametrize("r", [2500.0, 1e4, 1e6])
+def test_ray_calibrated_at_large_z(kind, r):
+    # the kernel e^{-z t} dies well inside the first panel of the ray; the
+    # answer must still sit within est_error of a 30-digit oracle
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
+    growth = {"lambda_3_2": (0.6, 3.0), "chi": (0.3, 4.0), "mu": (0.0, 0.2)}
+    for arg in (-1.3, 0.0, 0.7):
+        z = r * cmath.exp(1j * arg)
+        theta = min(1.2, max(-1.2, -arg))
+        res = laplace_ray(ray_sampler(kind, theta), theta, z, SPEC,
+                          growth=growth[kind], sqrt_origin=kind != "mu")
+        zz = ctx.mpc(z)
+        mu = (ctx.loggamma(zz) - (zz - ctx.mpf(0.5)) * ctx.log(zz) + zz
+              - ctx.log(2 * ctx.pi) / 2)
+        if kind == "mu":
+            truth = complex(mu)
+        else:
+            sign = 1 if kind == "lambda_3_2" else -1
+            truth = complex(zz ** ctx.mpf(-1.5) * ctx.exp(sign * mu))
+        assert abs(res.value - truth) <= res.est_error, (z, res)

@@ -270,3 +270,23 @@ def test_random_paths_return_to_base():
         assert abs(val - base) < 1e-10
         done += 1
     assert done >= 4
+
+
+@pytest.mark.parametrize("c", [0.0, -0.5, 0.25])
+def test_rotation_leg_matches_fine_rotation(c):
+    # rho_on_sheet rotates in chords of at most pi/4 and lets the substep
+    # controller size the steps; 0.1-rad steps along the same arc must
+    # land on the same sheet and value
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+    for r in (0.2, 1.0, 6.0):
+        for mag in (math.pi - 0.1, math.pi, 3.5, 4.0):
+            for theta in (mag, -mag):
+                got = rho_on_sheet(c, r, theta, spec)
+                r0 = min(r, 1.0)
+                steps = max(8, int(abs(theta) / 0.1) + 1)
+                path = [r0 * cmath.exp(1j * theta * k / steps)
+                        for k in range(steps + 1)]
+                if r > r0:
+                    path.append(r * cmath.exp(1j * theta))
+                fine = rho_continue(c, path, spec)
+                assert abs(got.value - fine.value) <= got.est_error, (r, theta)
