@@ -7,11 +7,11 @@ continuation with branch tracking, and the lateral (alien) operators at
 the branch points 2*pi*i*Z*.
 """
 
-from ._backend import BACKEND
 from .exactseries import (PuiseuxSeries, Rational, RationalSeries,
                           a_coefficients, bernoulli, lambda_tilde, puiseux_q,
                           series_exp, stirling_series)
-from .lambertw import WValue, lambert_w, lambert_w_near_branch_point
+from .lambertw import (BACKEND, WValue, lambert_w,
+                       lambert_w_near_branch_point)
 from .borelplane import (BorelFunction, BranchPath, SingularityData,
                          SurfacePoint, alien, alien_plus, continue_minor,
                          major_chi, major_lambda32, minor_chi,

@@ -119,10 +119,18 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _mu_ref(z: complex) -> complex:
+    """Principal log lambda(z).  Taken from `log_lambda_ref` as is when that
+    is already principal: exp followed by log would lose the relative
+    accuracy of the small logarithm at large |z|."""
+    w = reference.log_lambda_ref(z)
+    return w if -math.pi < w.imag <= math.pi else cmath.log(cmath.exp(w))
+
+
 _RESUM_ORACLES = {
     "lambda32": lambda z: z ** -1.5 * reference.lambda_ref(z),
     "chi": lambda z: z ** -1.5 / reference.lambda_ref(z),
-    "mu": lambda z: cmath.log(reference.lambda_ref(z)),
+    "mu": _mu_ref,
 }
 
 _RESUM_GROWTH = {"lambda32": (0.6, 3.0), "chi": (0.3, 4.0), "mu": (0.0, 0.2)}
@@ -149,7 +157,8 @@ def _cmd_resum(args) -> int:
     record["oracle"] = [oracle.real, oracle.imag]
     record["rel_error"] = abs(res.value - oracle) / abs(oracle)
     _emit(args, record)
-    return 0
+    miss = abs(res.value - oracle) > max(args.tol * abs(oracle), res.est_error)
+    return 1 if miss else 0
 
 
 def _cmd_stokes(args) -> int:

@@ -1,22 +1,28 @@
 """Complex Lambert W on all integer branches.
 
 W_k(x) solves w e^w = x.  Branch cuts follow the standard convention of
-Corless et al. (1996): (-inf, -1/e] for the principal branch k = 0 and
-(-inf, 0] for every other branch, with values on a cut equal to the
+Corless, Gonnet, Hare, Jeffrey & Knuth, "On the Lambert W function",
+Adv. Comp. Math. 5 (1996): (-inf, -1/e] for the principal branch k = 0
+and (-inf, 0] for every other branch, with values on a cut equal to the
 limit from above (counterclockwise continuity).  The two real branches
 W_0 >= W_{-1} meet at the square-root branch point x = -1/e, which is
 where all the Borel-plane branch points of this package come from.
 
-Accuracy is plain double precision; residuals |w e^w - x| are always
-computed and reported, never assumed.
+Every value comes from one kernel: a Halley iteration seeded per region
+(``w_polish`` / ``w_scalar``), followed by a check of the unwinding
+integer that the requested branch was reached; ``w_many`` applies it
+element by element.  Accuracy is plain double precision; residuals
+|w e^w - x| are always computed and reported, never assumed.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
-from ._backend import BACKEND, w_many, w_polish, w_scalar
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["BranchIndex", "WValue", "lambert_w", "lambert_w_near_branch_point",
@@ -24,7 +30,129 @@ __all__ = ["BranchIndex", "WValue", "lambert_w", "lambert_w_near_branch_point",
 
 BranchIndex = int
 
+# name of the only kernel; reported in benchmark records
+BACKEND = "python"
+
 _E = 2.718281828459045
+_EM1 = 0.36787944117144233  # 1/e
+
+
+def _log_ccc(x: complex) -> complex:
+    """Principal log with values on (-inf, 0) taken as limits from above
+    (immune to the sign of a zero imaginary part)."""
+    if x.imag == 0.0 and x.real < 0.0:
+        return complex(math.log(-x.real), math.pi)
+    return cmath.log(x)
+
+
+def _seed(x: complex, k: int) -> complex:
+    ax = abs(x)
+    near_bp = abs(x + _EM1) <= (1.5 if k == 0 else 0.35)
+    if k == 0:
+        if ax <= 1e-3:
+            return x * (1.0 - x)
+        if near_bp:
+            return cmath.sqrt(2.0 * (_E * x + 1.0)) - 1.0
+        L = _log_ccc(x)
+        return L - cmath.log(L)
+    # the sheet adjacent to the real values near -1/e:
+    # k = -1 from Im x >= 0 (incl. the cut itself), k = +1 from Im x < 0
+    if near_bp and ((k == -1 and x.imag >= 0.0) or (k == 1 and x.imag < 0.0)):
+        p = cmath.sqrt(2.0 * (_E * x + 1.0))
+        return -1.0 - p - p * p / 3.0
+    if k == -1 and x.imag == 0.0 and -_EM1 < x.real < 0.0:
+        L = math.log(-x.real)
+        if L > -2.0:
+            return -1.0 - cmath.sqrt(2.0 * (_E * x + 1.0))
+        return complex(L - math.log(-L), 0.0)
+    L = _log_ccc(x) + 2j * cmath.pi * k
+    return L - cmath.log(L)
+
+
+def _branch_of(w: complex, x: complex) -> int:
+    """Unwinding integer K with w e^w = x: w + Log w = Log x + 2 pi i K.
+    Equals the Corless branch index everywhere except exactly on the real
+    slice of branch -1 (handled by the caller)."""
+    if w.imag == 0.0:
+        w = complex(w.real, 0.0)
+    val = (w + _log_ccc(w) - _log_ccc(x)) / (2j * cmath.pi)
+    return round(val.real)
+
+
+def _branch_ok(w: complex, x: complex, k: int) -> bool:
+    kk = _branch_of(w, x)
+    if kk == k:
+        return True
+    # real slice of branch -1: the unwinding integer reads 0 there
+    return (k == -1 and kk == 0 and x.imag == 0.0 and w.imag == 0.0
+            and w.real <= -1.0 + 1e-12)
+
+
+def w_polish(x: complex, w0: complex, tol: float, max_iter: int = 100):
+    """Halley iteration on w e^w = x from the seed w0.
+
+    Returns (w, residual, converged).  The caller decides how to treat
+    non-convergence; the kernel never raises.
+    """
+    w = complex(w0)
+    scale = max(abs(x), 1e-290)
+    for _ in range(max_iter):
+        ew = cmath.exp(w)
+        f = w * ew - x
+        if abs(f) <= tol * scale:
+            return w, abs(f), True
+        wp1 = w + 1.0
+        if wp1 == 0:
+            w += 1e-8
+            continue
+        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w -= dw
+        if abs(dw) <= 1e-16 * (2.0 + abs(w)):
+            ew = cmath.exp(w)
+            return w, abs(w * ew - x), abs(w * ew - x) <= tol * scale
+    ew = cmath.exp(w)
+    res = abs(w * ew - x)
+    return w, res, res <= tol * scale
+
+
+def w_scalar(x: complex, k: int, tol: float = 1e-13):
+    """W_k(x) by seeded Halley iteration with branch verification;
+    returns (w, residual, converged)."""
+    x = complex(x)
+    if x.imag == 0.0:
+        x = complex(x.real, 0.0)   # cut values are limits from above
+    if x == 0:
+        if k == 0:
+            return 0j, 0.0, True
+        return 0j, float("inf"), False
+    w, res, ok = w_polish(x, _seed(x, k), tol)
+    if ok and _branch_ok(w, x, k):
+        return w, res, True
+    # retry from the plain asymptotic seed of the requested branch
+    L = _log_ccc(x) + 2j * cmath.pi * k
+    if L != 0:
+        w2, res2, ok2 = w_polish(x, L - cmath.log(L), tol)
+        if ok2 and _branch_ok(w2, x, k):
+            return w2, res2, True
+    return w, res, False
+
+
+def w_many(xs: np.ndarray, k: int, tol: float = 1e-13):
+    """W_k element by element over an array; returns (w array, max
+    relative residual, all ok)."""
+    xs = np.asarray(xs, dtype=complex)
+    flat = xs.ravel()
+    out = np.empty_like(flat)
+    worst = 0.0
+    ok = True
+    for i, x in enumerate(flat):
+        w, res, conv = w_scalar(x, k, tol)
+        out[i] = w
+        scale = max(abs(x), 1e-290)
+        worst = max(worst, res / scale)
+        ok = ok and conv
+    return out.reshape(xs.shape), worst, ok
+
 
 # Puiseux coefficients of W about the branch point: w = -1 + sum mu_j p^j
 # with p = sqrt(2(e x + 1)); used as a high-order seed very close to -1/e.
@@ -62,8 +190,15 @@ def lambert_w(x: complex, k: BranchIndex = 0, tol: float = 1e-13) -> WValue:
 
 
 def lambert_w_array(xs, k: BranchIndex, tol: float = 1e-13):
-    """Vectorized W_k; returns the bare complex array (hot path for the
-    quadrature samplers).  Raises ConvergenceError if any entry stalls."""
+    """W_k over an array of any shape; returns the bare complex array
+    (hot path for the quadrature samplers).  Raises DomainError where
+    `lambert_w` would (tol <= 0, x = 0 on a branch k != 0) and
+    ConvergenceError if any entry stalls."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    xs = np.asarray(xs, dtype=complex)
+    if k != 0 and np.any(xs == 0):
+        raise DomainError("x = 0 is a logarithmic singularity for k != 0")
     out, worst, ok = w_many(xs, k, tol)
     if not ok:
         raise ConvergenceError(

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from gammares._backend import w_polish
 from gammares.borelplane import (MINOR_CHI, MINOR_LAMBDA32, BorelFunction,
                                  BranchPath, SurfacePoint, alien, alien_plus,
                                  continue_minor, export_grid_csv, germ_magnitude,
@@ -13,7 +12,7 @@ from gammares.borelplane import (MINOR_CHI, MINOR_LAMBDA32, BorelFunction,
                                  minor_mu, ray_sampler)
 from gammares.errors import (DomainError, PathError, SingularProximityError)
 from gammares.exactseries import puiseux_q
-from gammares.lambertw import lambert_w
+from gammares.lambertw import lambert_w, w_polish
 from gammares.quadrature import QuadratureSpec, adaptive_quad
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)

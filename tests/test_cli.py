@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from gammares import cli
 from gammares.cli import main, parse_complex
 
 
@@ -64,6 +65,22 @@ def test_resum_mu(capsys):
     code, out, _ = run_cli(capsys, "resum", "--object", "mu", "--z", "5+0j")
     assert code == 0
     assert json.loads(out)["rel_error"] <= 1e-9
+
+
+def test_resum_exits_1_when_oracle_disagrees(capsys, monkeypatch):
+    exact = cli._RESUM_ORACLES["lambda32"]
+    monkeypatch.setitem(cli._RESUM_ORACLES, "lambda32",
+                        lambda z: exact(z) * (1.0 + 1e-6))
+    code, out, _ = run_cli(capsys, "resum", "--object", "lambda32",
+                           "--z", "2+0j", "--tol", "1e-10")
+    assert code == 1
+    assert 0.5e-6 <= json.loads(out)["rel_error"] <= 2e-6
+
+
+def test_resum_mu_large_z_against_exact_oracle(capsys):
+    code, out, _ = run_cli(capsys, "resum", "--object", "mu", "--z", "1e4+0j")
+    assert code == 0
+    assert json.loads(out)["rel_error"] <= 1e-13
 
 
 def test_stokes_record(capsys):

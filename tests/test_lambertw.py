@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import gammares
 from gammares.errors import DomainError
 from gammares.exactseries import puiseux_q
 from gammares.lambertw import (lambert_w, lambert_w_array,
-                               lambert_w_near_branch_point)
+                               lambert_w_near_branch_point, w_polish)
 
 E = math.e
 EM1 = 1.0 / math.e
@@ -148,3 +149,52 @@ def test_array_evaluator_matches_scalar():
 def test_residual_reported():
     wv = lambert_w(2.5 + 0.5j, 0, tol=1e-13)
     assert wv.residual <= 1e-13 * max(1.0, abs(2.5 + 0.5j))
+
+
+def test_kernel_name_reported():
+    assert gammares.BACKEND == "python"
+
+
+def test_array_matches_scalar_on_random_points():
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-4, 4, 300) + 1j * rng.uniform(-4, 4, 300)
+    for k in (-3, -1, 0, 1, 2):
+        arr = lambert_w_array(xs, k)
+        for x, w in zip(xs, arr):
+            ws = lambert_w(x, k).w
+            assert abs(w - ws) <= 1e-12 * (1 + abs(ws)), (x, k)
+
+
+def test_array_matches_scalar_on_cut_and_near_branch_point():
+    xs = np.array([-0.5, -1.0, -EM1, -EM1 + 1e-6, complex(-0.3, -0.0),
+                   -0.367879], dtype=complex)
+    for k in (-1, 0, 1):
+        arr = lambert_w_array(xs, k)
+        for x, w in zip(xs, arr):
+            assert abs(w - lambert_w(x, k).w) <= 1e-11, (x, k)
+
+
+def test_array_keeps_shape():
+    rng = np.random.default_rng(10)
+    xs = (rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)).reshape(20, 10)
+    for k in (-1, 0, 1):
+        arr = lambert_w_array(xs, k)
+        assert arr.shape == xs.shape
+        assert np.array_equal(arr.ravel(), lambert_w_array(xs.ravel(), k))
+
+
+def test_array_input_checks():
+    with pytest.raises(DomainError):
+        lambert_w_array(np.array([1.0, 0.0]), 1)
+    with pytest.raises(DomainError):
+        lambert_w_array(np.zeros((2, 2)), -1)
+    with pytest.raises(DomainError):
+        lambert_w_array(np.array([1.0]), 0, tol=0.0)
+    assert lambert_w_array(np.array([0.0, 1.0]), 0)[0] == 0
+
+
+def test_polish_contract():
+    x = 1.7 + 0.3j
+    w, res, ok = w_polish(x, 0.5 + 0.1j, 1e-13)
+    assert ok and abs(w * cmath.exp(w) - x) <= 1e-13 * abs(x)
+    assert res == abs(w * cmath.exp(w) - x)

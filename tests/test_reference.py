@@ -6,8 +6,8 @@ import pytest
 
 from gammares.errors import DomainError
 from gammares.quadrature import QuadratureSpec, adaptive_quad
-from gammares.reference import (gamma_ref, lambda_ref, log_gamma_ref, nu_ref,
-                                reflection_check)
+from gammares.reference import (gamma_ref, lambda_ref, log_gamma_ref,
+                                log_lambda_ref, nu_ref, reflection_check)
 
 
 def euler_integral(z, spec=QuadratureSpec(rel_tol=1e-13, abs_tol=1e-14)):
@@ -93,3 +93,20 @@ def test_nu_values():
 def test_est_error_field():
     gv = gamma_ref(3.3 + 1.1j)
     assert gv.est_error <= 1e-12
+
+
+@pytest.mark.parametrize("r", [20.0, 30.0, 100.0, 1e3, 1e4, 1e6])
+def test_log_lambda_accurate_at_large_z(r):
+    """log lambda is the small difference of two large terms at large |z|;
+    it must still hold double precision against 30-digit mpmath."""
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 30
+    for arg in (0.0, 0.7, -0.7, 1.4, -1.4):
+        z = r * cmath.exp(1j * arg)
+        zm = mp.mpc(z)
+        truth = (mp.loggamma(zm) - (zm - 0.5) * mp.log(zm) + zm
+                 - mp.log(2 * mp.pi) / 2)
+        got = log_lambda_ref(z)
+        assert abs(got - complex(truth)) <= 4e-16 * abs(complex(truth)), (r, arg)
+        lam = complex(mp.exp(truth))
+        assert abs(lambda_ref(z) - lam) <= 4e-16 * abs(lam), (r, arg)
