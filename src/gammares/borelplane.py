@@ -511,7 +511,6 @@ class SingularityData:
 
     location: complex
     sampler: Callable[[float, float], complex]
-    type_tag: str = "square_root"
 
     def sample(self, rho: float, offset: float = 0.0) -> complex:
         return self.sampler(rho, offset)

@@ -30,32 +30,7 @@ from .quadrature import QuadratureSpec
 from .realmajor import rho_on_sheet
 from .verification import run_suite, stokes_records
 
-__all__ = ["main", "parse_complex", "RunConfig"]
-
-
-_KNOWN_COMMANDS = ("coeffs", "resum", "stokes", "realmajor", "alien", "verify")
-
-
-class RunConfig:
-    """Validated record of one CLI invocation: the command, its parameter
-    map, and where/how the output goes."""
-
-    def __init__(self, command: str, params: dict, output_format: str = "json",
-                 output_path=None):
-        if command not in _KNOWN_COMMANDS:
-            raise ValueError(f"unknown command {command!r}")
-        if output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {output_format!r}")
-        self.command = command
-        self.params = dict(params)
-        self.output_format = output_format
-        self.output_path = output_path
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        skip = {"command", "func", "format", "out"}
-        params = {k: v for k, v in vars(args).items() if k not in skip}
-        return cls(args.command, params, args.format, args.out)
+__all__ = ["main", "parse_complex"]
 
 
 def parse_complex(text: str):
@@ -135,11 +110,16 @@ _RESUM_ORACLES = {
 
 _RESUM_GROWTH = {"lambda32": (0.6, 3.0), "chi": (0.3, 4.0), "mu": (0.0, 0.2)}
 _RESUM_KIND = {"lambda32": "lambda_3_2", "chi": "chi", "mu": "mu"}
+# leading size k |z|^-p of each value: abs_tol scaled by it (capped at 1)
+# keeps --tol a relative tolerance where the value is small
+_RESUM_SIZE = {"lambda32": (1.0, 1.5), "chi": (1.0, 1.5), "mu": (1.0 / 12.0, 1.0)}
 
 
 def _cmd_resum(args) -> int:
     z = _as_number(parse_complex(args.z))
-    spec = QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
+    k, p = _RESUM_SIZE.get(args.object, (1.0, 0.0))
+    spec = QuadratureSpec(rel_tol=args.tol,
+                          abs_tol=args.tol * 1e-2 * min(1.0, k * abs(z) ** -p))
     if args.object == "realmajor_c":
         def rho_surface(t, th):
             return complex(rho_on_sheet(args.c, t, th, spec).value)
@@ -283,7 +263,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        args.run_config = RunConfig.from_args(args)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

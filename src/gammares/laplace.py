@@ -7,6 +7,11 @@ laplace_real_major
                  (1/2 pi i) x Hankel contour pointing away from the decay
                  direction, applied to a real-major
 
+Ray samplers map an ndarray of radii to values; surface samplers (majors,
+real-majors) are scalar callables (r, sheet_theta) -> complex.  The Hankel
+and real-major transforms are one circle piece plus laplace_ray over the
+difference of two sheets.
+
 Truncation radii come from caller-supplied linear growth certificates
 |f(xi)| <= A |xi| + B on the ray, turned into explicit tail bounds that
 are added to the reported error estimate.
@@ -165,6 +170,32 @@ def laplace_ray(minor, theta, z: complex, spec: QuadratureSpec,
     return LaplaceResult(value, err, panels, z, th)
 
 
+def _sheet_difference(sample, th_a: float, th_b: float):
+    """Ray sampler t -> sample(t, th_a) - sample(t, th_b) built from a
+    scalar surface sampler, called one radius at a time."""
+    def ray(ts):
+        ts = np.asarray(ts, dtype=float)
+        diff = [sample(t, th_a) - sample(t, th_b) for t in ts.ravel()]
+        return np.array(diff, dtype=complex).reshape(ts.shape)
+
+    return ray
+
+
+def _circle(sample, zk: complex, d: float, psi0: float, psi1: float,
+            spec: QuadratureSpec):
+    """int e^{zk xi} sample(d, psi) d xi over xi = d e^{i psi}, psi from
+    psi0 to psi1; the scalar surface sampler is called one angle at a
+    time, kernel and Jacobian act on the whole node array."""
+    def f(psis):
+        psis = np.asarray(psis, dtype=float)
+        vals = np.array([sample(d, psi) for psi in psis.ravel()],
+                        dtype=complex).reshape(psis.shape)
+        xi = d * np.exp(1j * psis)
+        return np.exp(zk * xi) * vals * 1j * xi
+
+    return adaptive_quad(f, psi0, psi1, spec)
+
+
 def laplace_hankel(major, theta, z: complex, spec: QuadratureSpec,
                    growth=(1.0, 20.0), delta: float = None,
                    minor_ray=None) -> LaplaceResult:
@@ -182,34 +213,17 @@ def laplace_hankel(major, theta, z: complex, spec: QuadratureSpec,
     """
     th = _theta_of(theta)
     z = complex(z)
-    _decay_rate(z, th)
     d = spec.hankel_delta if delta is None else float(delta)
     if not 0 < d < 2.0 * math.pi:
         raise DomainError("delta must sit below the first branch point")
-
-    def circ(psis):
-        psis = np.asarray(psis, dtype=float)
-        out = np.empty(psis.shape, dtype=complex)
-        for i, psi in enumerate(psis.ravel()):
-            xi = d * cmath.exp(1j * psi)
-            out.ravel()[i] = cmath.exp(-z * xi) * major(d, psi) * 1j * d * cmath.exp(1j * psi)
-        return out
-
-    circle = adaptive_quad(circ, th - 2.0 * math.pi, th, spec)
-
     if minor_ray is None:
-        def minor_ray(ts):
-            ts = np.asarray(ts, dtype=float)
-            out = np.empty(ts.shape, dtype=complex)
-            for i, t in enumerate(ts.ravel()):
-                out.ravel()[i] = major(t, th) - major(t, th - 2.0 * math.pi)
-            return out
-
+        minor_ray = _sheet_difference(major, th, th - 2.0 * math.pi)
     ray = laplace_ray(minor_ray, th, z, spec, growth=growth,
                       sqrt_origin=False, lower=d)
-    value = circle.value + ray.value
-    err = circle.est_error + ray.est_error
-    return LaplaceResult(value, err, circle.panels + ray.panels, z, th)
+    circle = _circle(major, -z, d, th - 2.0 * math.pi, th, spec)
+    return LaplaceResult(circle.value + ray.value,
+                         circle.est_error + ray.est_error,
+                         circle.panels + ray.panels, z, th)
 
 
 def laplace_real_major(rmajor, theta, z: complex, spec: QuadratureSpec,
@@ -218,42 +232,19 @@ def laplace_real_major(rmajor, theta, z: complex, spec: QuadratureSpec,
 
     `rmajor` maps (t, sheet_theta) to the real-major value at t e^{i sheet}.
     The contour wraps the ray opposite to theta: two arms on the sheets
-    theta -+ pi plus the connecting circle of radius delta, all divided by
-    2 pi i.  Kernel decay on the arms is e^{-Re(z e^{i theta}) t}.
+    theta -+ pi, whose difference is integrated by laplace_ray from delta
+    outward, plus the connecting circle of radius delta with kernel
+    e^{+z xi}, all divided by 2 pi i.
     """
     th = _theta_of(theta)
     z = complex(z)
-    c = _decay_rate(z, th)
     d = spec.hankel_delta if delta is None else float(delta)
-    a_growth, b_growth = growth
-    r_cut = _tail_radius(c, a_growth, b_growth, 0.1 * spec.abs_tol, spec.max_radius)
-    zp = z * cmath.exp(1j * th)
-
-    def arms(ts):
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape, dtype=complex)
-        for i, t in enumerate(ts.ravel()):
-            diff = rmajor(t, th - math.pi) - rmajor(t, th + math.pi)
-            out.ravel()[i] = cmath.exp(-zp * t) * diff
-        return out * cmath.exp(1j * th)
-
-    arm_part = adaptive_quad(arms, d, r_cut, spec)
-
-    def circ(psis):
-        psis = np.asarray(psis, dtype=float)
-        out = np.empty(psis.shape, dtype=complex)
-        for i, psi in enumerate(psis.ravel()):
-            # kernel e^{+z * projection} on this contour (the arms point
-            # opposite to the decay direction of e^{-z xi})
-            out.ravel()[i] = (cmath.exp(z * d * cmath.exp(1j * psi))
-                              * rmajor(d, psi) * 1j * d * cmath.exp(1j * psi))
-        return out
-
-    circle = adaptive_quad(circ, th - math.pi, th + math.pi, spec)
-    value = (arm_part.value + circle.value) / (2j * math.pi)
-    err = (arm_part.est_error + circle.est_error
-           + _tail_bound(c, a_growth, b_growth, r_cut)) / (2.0 * math.pi)
-    return LaplaceResult(value, err, arm_part.panels + circle.panels, z, th)
+    arms = laplace_ray(_sheet_difference(rmajor, th - math.pi, th + math.pi),
+                       th, z, spec, growth=growth, sqrt_origin=False, lower=d)
+    circle = _circle(rmajor, z, d, th - math.pi, th + math.pi, spec)
+    return LaplaceResult((arms.value + circle.value) / (2j * math.pi),
+                         (arms.est_error + circle.est_error) / (2.0 * math.pi),
+                         arms.panels + circle.panels, z, th)
 
 
 @dataclass(frozen=True)

@@ -278,10 +278,9 @@ def _tracked_arg(h_of, nodes):
     return angle
 
 
-def _integrate_deformed(cc: complex, xi: complex, nodes, spec: QuadratureSpec,
-                        half_weight: bool):
-    """Quadrature of (xi + e^Q - Q - 1)^(c-3/2) [* e^(Q/2)] along the
-    polyline with branch tracking, plus the closed-form left tail.
+def _integrate_deformed(cc: complex, xi: complex, nodes, spec: QuadratureSpec):
+    """Quadrature of (xi + e^Q - Q - 1)^(c-3/2) along the polyline with
+    branch tracking, plus the closed-form left tail.
 
     One adaptive quadrature covers the whole path: s in [0, n_seg] runs
     over segment floor(s), with the polyline nodes as breaks."""
@@ -306,10 +305,7 @@ def _integrate_deformed(cc: complex, xi: complex, nodes, spec: QuadratureSpec,
         principal = np.angle(h)
         k = np.round((angle(seg, ts) - principal) / (2.0 * math.pi))
         tracked = principal + 2.0 * math.pi * k
-        powed = np.exp(ex * (np.log(np.abs(h)) + 1j * tracked))
-        if half_weight:
-            powed = powed * np.exp(0.5 * qs)
-        return powed * d[seg]
+        return np.exp(ex * (np.log(np.abs(h)) + 1j * tracked)) * d[seg]
 
     part = adaptive_quad(integrand, 0.0, float(len(d)), spec,
                          breaks=range(1, len(d)))
@@ -317,14 +313,9 @@ def _integrate_deformed(cc: complex, xi: complex, nodes, spec: QuadratureSpec,
     t_l = -nodes[0].real
     h_left = complex(h_of(np.array([nodes[0]]))[0])
     ang_left = float(angle(np.array([0]), np.array([0.0]))[0])
-    if not half_weight:
-        log_h = math.log(abs(h_left)) + 1j * ang_left
-        tail = cmath.exp((cc - 0.5) * log_h) / (0.5 - cc)
-        tail_err = math.exp(-t_l)
-    else:
-        tail = 0j
-        tail_err = (t_l ** max(cc.real - 1.5, -10.0)) * 2.0 * math.exp(-0.5 * t_l)
-    return part.value + tail, part.est_error + tail_err, part.panels
+    log_h = math.log(abs(h_left)) + 1j * ang_left
+    tail = cmath.exp((cc - 0.5) * log_h) / (0.5 - cc)
+    return part.value + tail, part.est_error + math.exp(-t_l), part.panels
 
 
 def rho_continue(c, path_xi: Sequence[complex],
@@ -371,8 +362,7 @@ def rho_continue(c, path_xi: Sequence[complex],
     if clearance < 1.5e-3:
         raise SingularProximityError("no room to thread the integration path")
     nodes = _build_path(roots, flags, t_l, t_r, clearance)
-    value, err, panels = _integrate_deformed(cc, path_xi[-1], nodes, spec,
-                                             half_weight=False)
+    value, err, panels = _integrate_deformed(cc, path_xi[-1], nodes, spec)
     pref = gamma_ref(1.5 - cc).value / _SQRT_2PI
     return RhoResult(pref * value, abs(pref) * err, panels,
                      QPath(tuple(nodes), t_l))

@@ -133,15 +133,19 @@ def check_hankel_major():
 
 # --- real-major checks -------------------------------------------------------
 
-def _laplace_of_reference(fn, xi: complex, spec: QuadratureSpec) -> complex:
-    """Direct quadrature of int_0^inf e^{-z xi} fn(z) dz (the u = 0
-    real-major of fn), fn analytic on (0, inf) and ~1 at infinity."""
-    decay = complex(xi).real
+def _laplace_of_reference(fn, xi: complex, spec: QuadratureSpec,
+                          alpha: float = 0.0) -> complex:
+    """Direct quadrature of int e^{-w xi} fn(w) dw along w = t e^{i alpha},
+    t from 0 to inf: the real-major of fn at xi, on any sheet the rotated
+    ray reaches with Re(xi e^{i alpha}) > 0.  fn must be analytic on the
+    ray and ~1 at infinity.  Kept apart from laplace_ray on purpose."""
+    ph = cmath.exp(1j * alpha)
+    decay = (complex(xi) * ph).real
     r_cut = (math.log(10.0 / spec.abs_tol) + 4.0) / decay
 
-    def f(zs):
-        zs = np.asarray(zs, dtype=float)
-        return np.array([cmath.exp(-z * xi) * fn(z) for z in zs])
+    def f(ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.array([cmath.exp(-(t * ph) * xi) * fn(t * ph) * ph for t in ts])
 
     def f_sub(ss):
         ss = np.asarray(ss, dtype=float)
@@ -149,7 +153,7 @@ def _laplace_of_reference(fn, xi: complex, spec: QuadratureSpec) -> complex:
 
     a = adaptive_quad(f_sub, 0.0, 1.0, spec)
     b = adaptive_quad(f, 1.0, r_cut, spec)
-    tail = cmath.exp(-r_cut * xi) / xi
+    tail = cmath.exp(-r_cut * ph * xi) / xi
     return a.value + b.value + tail
 
 
@@ -214,23 +218,8 @@ def check_realmajor_continuation():
     theta = 5.0 * math.pi / 4.0
     got = complex(rho_on_sheet(0.0, 1.0, theta, spec).value)
     # oracle: rotate the integration ray of the defining transform
-    alpha = -0.88 * math.pi
-    xi = cmath.exp(1j * theta)
-    ph = cmath.exp(1j * alpha)
-
-    def f(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.array([cmath.exp(-(t * ph) * xi) * reference.lambda_ref(t * ph) * ph
-                         for t in ts])
-
-    def f_sub(ss):
-        ss = np.asarray(ss, dtype=float)
-        return f(ss * ss) * 2.0 * ss
-
-    decay = (xi * ph).real
-    r_cut = 40.0 / decay
-    oracle = (adaptive_quad(f_sub, 0.0, 1.0, spec).value
-              + adaptive_quad(f, 1.0, r_cut, spec).value)
+    oracle = _laplace_of_reference(reference.lambda_ref, cmath.exp(1j * theta),
+                                   spec, alpha=-0.88 * math.pi)
     resid_cont = abs(got - oracle)
 
     # winding: out along arg -3 pi/2, once around the point over 2 pi i

@@ -94,11 +94,32 @@ def test_monomial_shift_at_function_level():
             assert abs(shifted - lambda_ref(z, c)) / abs(lambda_ref(z, c)) < 1e-9
 
 
-def test_hankel_monomial_singularity():
-    # transform of the standard singular major with c = 1/2 is z^(-1/2)
-    res = laplace_hankel(monomial_major_sampler(0.5), 0.0, 4.0, SPEC,
-                         growth=(0.0, 2.0))
-    assert abs(res.value - 0.5) < 1e-11
+MONOMIAL_CS = [0.5, 1.0, 1.5, 2.0]
+MONOMIAL_THETAS = [0.0, 0.4, -0.4]
+
+
+def _check_monomial_contour(transform, c):
+    # z^-c within est_error on every circle radius, and delta-independent;
+    # 1e-11 is the absolute bar of the single-case tests this grid replaced
+    z = 4.0
+    expect = z ** -c
+    vals = []
+    for delta in (0.5, 1.0):
+        res = transform(delta)
+        assert abs(res.value - expect) <= min(res.est_error, 1e-11), (delta, res)
+        vals.append(res.value)
+    assert abs(vals[0] - vals[1]) <= 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("theta", MONOMIAL_THETAS)
+@pytest.mark.parametrize("c", MONOMIAL_CS)
+def test_hankel_monomial_singularity(c, theta):
+    # the standard singular major of z^-c, through the default minor_ray
+    # (the monodromy variation xi^(c-1)/Gamma(c), at most t + 1 here)
+    major = monomial_major_sampler(c)
+    _check_monomial_contour(
+        lambda d: laplace_hankel(major, theta, 4.0, SPEC, growth=(1.0, 1.0),
+                                 delta=d), c)
 
 
 def test_hankel_ray_consistency_and_delta_invariance():
@@ -115,12 +136,16 @@ def test_hankel_ray_consistency_and_delta_invariance():
     assert abs(vals[0.1] - vals[0.5]) / abs(ray_val) < 1e-11
 
 
-def test_real_major_monomial():
+@pytest.mark.parametrize("theta", MONOMIAL_THETAS)
+@pytest.mark.parametrize("c", MONOMIAL_CS)
+def test_real_major_monomial(c, theta):
     # definitional consistency: the wrapped transform of
-    # -2 pi i * major(e^{-i pi} xi) with c = 1 equals z^-1
-    res = laplace_real_major(monomial_real_major(1.0), 0.0, 4.0, SPEC,
-                             growth=(0.0, 30.0))
-    assert abs(res.value - 0.25) < 1e-10
+    # -2 pi i * major(e^{-i pi} xi) equals z^-c; the arm difference is
+    # 2 pi i xi^(c-1)/Gamma(c), at most 2 pi (t + 1) here
+    rmajor = monomial_real_major(c)
+    _check_monomial_contour(
+        lambda d: laplace_real_major(rmajor, theta, 4.0, SPEC,
+                                     growth=(7.0, 7.0), delta=d), c)
 
 
 def test_glue_agreement_within_sector():
