@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, PathError, SingularProximityError
 from .exactseries import bernoulli
-from .lambertw import lambert_w_array
+from .lambertw import lambert_w, lambert_w_array
 
 __all__ = [
     "SurfacePoint", "BorelFunction", "BranchPath", "SingularityData",
@@ -297,8 +297,8 @@ def _endpoint_values(kind: _Kind, labels, endpoint: complex, approach_tau: float
             raise SingularProximityError(
                 f"evaluation within guard radius of 2*pi*i*{m}")
         x = kind.x_of(endpoint)
-    wa = complex(lambert_w_array(np.array([x]), ka)[0])
-    wb = complex(lambert_w_array(np.array([x]), kb)[0])
+    wa = lambert_w(x, ka).w
+    wb = lambert_w(x, kb).w
     return wa, wb
 
 
@@ -634,9 +634,26 @@ def germ_magnitude(a: SingularityData, radii: Sequence[float] = _GERM_RADII) -> 
 # ---------------------------------------------------------------------------
 # quadrature-facing samplers
 
+# a_1, a_3, ..., a_39 of exactseries.a_coefficients(39): W_0 - W_{-1} at
+# x = -e^{-1-xi} is q_+ - q_- = 2 sum_j a_{2j+1} p^(2j+1), p = (2 xi)^(1/2),
+# accurate to double precision for |xi| <= 1 (literal: computing the
+# table at import costs milliseconds)
+_PUISEUX_ODD = (
+    1.0, 0.027777777777777776, 0.0002314814814814815, -2.553644914756026e-05,
+    -2.428276122977769e-07, 7.542464855411896e-08, 5.159887341078076e-10,
+    -2.921357345635569e-10, -1.5008349408791911e-12, 1.2822077905614429e-12,
+    5.2401866818838735e-15, -6.053864010513748e-15, -2.055644733697029e-17,
+    2.999822650631319e-17, 8.726010378440995e-20, -1.53872162897435e-19,
+    -3.918959253950962e-22, 8.100415520505533e-22, 1.835933454997004e-24,
+    -4.351676825653232e-24,
+)
+
+
 def ray_sampler(kind_name: str, theta: float):
     """Vectorized sampler t -> minor(t e^{i theta}) on the canonical sheet;
-    kind_name is 'lambda_3_2', 'chi' or 'mu'."""
+    kind_name is 'lambda_3_2', 'chi' or 'mu'.  For t <= 1 the minors of
+    'lambda_3_2' and 'chi' come from their Puiseux series at the origin,
+    where the difference of two W branches would cancel; beyond, from W."""
     if kind_name == "mu":
         rot = cmath.exp(1j * theta)
         return lambda ts: _minor_mu_array(np.asarray(ts, dtype=float) * rot)
@@ -644,6 +661,10 @@ def ray_sampler(kind_name: str, theta: float):
     kind = _KINDS[kind_name]
     rot = cmath.exp(1j * theta)
     sin_th = math.sin(theta)
+    # p = (2t)^(1/2) e^{i (theta - anchor)/2} continues (2 xi)^(1/2) from the
+    # anchor; the base pair (0, -1) gives q_+ - q_-, chi's (-1, 0) its negative
+    half_rot = cmath.exp(0.5j * (theta - kind.anchor))
+    scale = 2.0 * kind.unit * (1.0 if kind.base_pair == (0, -1) else -1.0)
 
     def breakpoints(tmax: float):
         if sin_th == 0.0:
@@ -660,8 +681,16 @@ def ray_sampler(kind_name: str, theta: float):
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
         out = np.empty(flat.shape, dtype=complex)
-        if flat.size:
-            edges = [0.0] + breakpoints(float(np.max(flat)) * (1 + 1e-12)) + [math.inf]
+        near = flat <= 1.0
+        if np.any(near):
+            p = np.sqrt(2.0 * flat[near]) * half_rot
+            p2 = p * p
+            acc = np.zeros_like(p)
+            for a in reversed(_PUISEUX_ODD):
+                acc = acc * p2 + a
+            out[near] = scale * acc * p
+        if not np.all(near):
+            edges = [1.0] + breakpoints(float(np.max(flat)) * (1 + 1e-12)) + [math.inf]
             for lo, hi in zip(edges[:-1], edges[1:]):
                 mask = (flat > lo) & (flat <= hi)
                 if not np.any(mask):

@@ -115,23 +115,40 @@ _RESUM_KIND = {"lambda32": "lambda_3_2", "chi": "chi", "mu": "mu"}
 _RESUM_SIZE = {"lambda32": (1.0, 1.5), "chi": (1.0, 1.5), "mu": (1.0 / 12.0, 1.0)}
 
 
+def _resum_theta(obj: str, z: complex) -> float:
+    """Default ray: -arg z, the direction of fastest kernel decay, clipped
+    to |theta| <= 1.2 inside the minors' singularity-free sector
+    |theta| < pi/2; 0 for realmajor_c."""
+    if obj == "realmajor_c":
+        return 0.0
+    return min(1.2, max(-1.2, -cmath.phase(z))) + 0.0  # no -0.0
+
+
+def _resum_spec(obj: str, z: complex, tol: float) -> QuadratureSpec:
+    k, p = _RESUM_SIZE.get(obj, (1.0, 0.0))
+    return QuadratureSpec(rel_tol=tol,
+                          abs_tol=tol * 1e-2 * min(1.0, k * abs(z) ** -p))
+
+
+def _resum_ray(obj: str, z: complex, theta: float, spec: QuadratureSpec):
+    """laplace_ray of the lambda32, chi or mu minor as `resum` runs it."""
+    return laplace_ray(ray_sampler(_RESUM_KIND[obj], theta), theta, z, spec,
+                       growth=_RESUM_GROWTH[obj], sqrt_origin=(obj != "mu"))
+
+
 def _cmd_resum(args) -> int:
     z = _as_number(parse_complex(args.z))
-    k, p = _RESUM_SIZE.get(args.object, (1.0, 0.0))
-    spec = QuadratureSpec(rel_tol=args.tol,
-                          abs_tol=args.tol * 1e-2 * min(1.0, k * abs(z) ** -p))
+    theta = _resum_theta(args.object, z) if args.theta is None else args.theta
+    spec = _resum_spec(args.object, z, args.tol)
     if args.object == "realmajor_c":
         def rho_surface(t, th):
             return complex(rho_on_sheet(args.c, t, th, spec).value)
 
-        res = laplace_real_major(rho_surface, args.theta, z, spec,
+        res = laplace_real_major(rho_surface, theta, z, spec,
                                  growth=(0.0, 3.0))
         oracle = reference.lambda_ref(z, args.c)
     else:
-        kind = _RESUM_KIND[args.object]
-        res = laplace_ray(ray_sampler(kind, args.theta), args.theta, z, spec,
-                          growth=_RESUM_GROWTH[args.object],
-                          sqrt_origin=(args.object != "mu"))
+        res = _resum_ray(args.object, z, theta, spec)
         oracle = _RESUM_ORACLES[args.object](z)
     record = res.to_record()
     record["oracle"] = [oracle.real, oracle.imag]
@@ -228,7 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", choices=("lambda32", "chi", "mu", "realmajor_c"),
                    default="lambda32")
     p.add_argument("--z", required=True, help="RE+IMj or R@THETA")
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=float, default=None,
+                   help="ray direction; default -arg z clipped to [-1.2, 1.2] "
+                        "(0 for realmajor_c)")
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_resum)

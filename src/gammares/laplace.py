@@ -96,9 +96,12 @@ def _decay_rate(z: complex, theta: float) -> float:
     return c
 
 
-def _tail_radius(c: float, a: float, b: float, target: float, rmax: float) -> float:
-    """Smallest R with (A R + B) e^{-c R} <= target (plus margin)."""
-    r = max(2.0, 5.0 / c)
+def _tail_radius(c: float, a: float, b: float, target: float, rmax: float,
+                 lower: float) -> float:
+    """Smallest R >= lower with (A R + B) e^{-c R} <= target (plus margin),
+    searched from max(lower, 1/c), past the bound's maximum.  It is about
+    30/c, so the kernel's decay spans [lower, R] at every |z|."""
+    r = max(lower, 1.0 / c)
     for _ in range(200):
         bound = (a * r + b) * math.exp(-c * r)
         if bound <= target:
@@ -122,26 +125,29 @@ def laplace_ray(minor, theta, z: complex, spec: QuadratureSpec,
 
     `minor` maps an ndarray of radii t to minor values at xi = t e^{i theta}.
     `growth` = (A, B) certifies |minor| <= A t + B on the ray, fixing the
-    truncation radius.  With sqrt_origin the substitution t = s^2 absorbs
-    an integrable xi^(1/2)-type singularity at the origin.
+    truncation radius r_cut: the smallest R >= lower where the bound times
+    the kernel falls to 0.1 * spec.abs_tol, about 30 / Re(z e^{i theta}).
+    The kernel therefore spans [lower, r_cut] at every |z|, and the
+    closed-form tail beyond r_cut is added to est_error.  When the bound
+    already holds at `lower`, the value is 0 and est_error is that tail.
+    With sqrt_origin the substitution t = s^2 absorbs an integrable
+    xi^(1/2)-type singularity at the origin.
     """
     th = _theta_of(theta)
     z = complex(z)
     c = _decay_rate(z, th)
     a_growth, b_growth = growth
-    r_cut = _tail_radius(c, a_growth, b_growth, 0.1 * spec.abs_tol, spec.max_radius)
+    r_cut = _tail_radius(c, a_growth, b_growth, 0.1 * spec.abs_tol,
+                         spec.max_radius, lower)
+    tail = _tail_bound(c, a_growth, b_growth, r_cut)
+    if r_cut == lower:
+        return LaplaceResult(0j, tail, 0, z, th)
     ph = cmath.exp(1j * th)
     zp = z * ph
 
     def g(ts):
         ts = np.asarray(ts, dtype=float)
         return np.exp(-zp * ts) * np.asarray(minor(ts), dtype=complex) * ph
-
-    def decay_break(lo, hi, x):
-        # the kernel has fallen by e^-40 at x; when that happens within
-        # the first 5% of [lo, hi], every Kronrod node of a single first
-        # panel would miss it and the error estimate would read converged
-        return (x,) if x < lo + 0.05 * (hi - lo) else ()
 
     value = 0j
     err = 0.0
@@ -155,19 +161,16 @@ def laplace_ray(minor, theta, z: complex, spec: QuadratureSpec,
             return g(ss * ss) * 2.0 * ss
 
         s0 = math.sqrt(t0)
-        part = adaptive_quad(g_sub, 0.0, s0, spec,
-                             breaks=decay_break(0.0, s0, math.sqrt(40.0 / c)))
+        part = adaptive_quad(g_sub, 0.0, s0, spec)
         value += part.value
         err += part.est_error
         panels += part.panels
         lo = t0
-    part = adaptive_quad(g, lo, r_cut, spec,
-                         breaks=decay_break(lo, r_cut, lo + 40.0 / c))
+    part = adaptive_quad(g, lo, r_cut, spec)
     value += part.value
     err += part.est_error
     panels += part.panels
-    err += _tail_bound(c, a_growth, b_growth, r_cut)
-    return LaplaceResult(value, err, panels, z, th)
+    return LaplaceResult(value, err + tail, panels, z, th)
 
 
 def _sheet_difference(sample, th_a: float, th_b: float):

@@ -9,9 +9,9 @@ from gammares.borelplane import (MINOR_CHI, MINOR_LAMBDA32, BorelFunction,
                                  continue_minor, export_grid_csv, germ_magnitude,
                                  germ_ratio, major_chi, major_lambda32,
                                  minor_chi, minor_germ_sampler, minor_lambda32,
-                                 minor_mu, ray_sampler)
+                                 minor_mu, ray_sampler, _PUISEUX_ODD)
 from gammares.errors import (DomainError, PathError, SingularProximityError)
-from gammares.exactseries import puiseux_q
+from gammares.exactseries import a_coefficients, puiseux_q
 from gammares.lambertw import lambert_w, w_polish
 from gammares.quadrature import QuadratureSpec, adaptive_quad
 
@@ -299,6 +299,53 @@ def test_ray_sampler_matches_pointwise():
             vals = sampler(ts)
             for t, v in zip(ts, vals):
                 assert abs(v - fn(SurfacePoint(float(t), th))) < 1e-13
+
+
+def test_puiseux_table_matches_exact_coefficients():
+    assert list(_PUISEUX_ODD) == [float(a) for a in a_coefficients(39)[0::2]]
+
+
+def _q_pair_mp(ctx, t, th, anchor):
+    """q_+ - q_- at 40 digits: Newton on q - ln q - 1 = p^2/2 for each
+    root, from its two-term Puiseux guess 1 +- p + p^2/3 (no W)."""
+    p = ctx.sqrt(2 * ctx.mpf(t)) * ctx.expj((ctx.mpf(th) - ctx.mpf(anchor)) / 2)
+    eta = p * p / 2
+    roots = []
+    for q in (1 + p + p * p / 3, 1 - p + p * p / 3):
+        for _ in range(60):
+            q = q - (q - ctx.log(q) - 1 - eta) / (1 - 1 / q)
+        roots.append(q)
+    return roots[0] - roots[1]
+
+
+@pytest.mark.parametrize("th", [0.0, 1.1, -1.1, 2.5, -3.5])
+@pytest.mark.parametrize("kind", ["lambda_3_2", "chi"])
+def test_ray_sampler_near_origin_against_mpmath(kind, th):
+    # W_0 - W_-1 cancels near the origin; the Puiseux branch must not
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 40
+    anchor, sign = (0.0, 1) if kind == "lambda_3_2" else (-math.pi, -1)
+    unit = (1.0 if kind == "lambda_3_2" else 1j) / ctx.sqrt(2 * ctx.pi)
+    ts = [1e-8, 1e-6, 1e-4, 0.5, 1.0]
+    vals = ray_sampler(kind, th)(np.array(ts))
+    for t, v in zip(ts, vals):
+        truth = complex(sign * unit * _q_pair_mp(ctx, t, th, anchor))
+        assert abs(v - truth) <= 1e-14 * abs(truth), (t, v, truth)
+    # the continued Puiseux series sits on the sheet the W branches reach
+    fn = minor_lambda32 if kind == "lambda_3_2" else minor_chi
+    for t, v in zip(ts[3:], vals[3:]):
+        assert abs(v - fn(SurfacePoint(t, th))) <= 1e-13 * abs(v)
+
+
+@pytest.mark.parametrize("th", [0.0, 1.1, -1.1, 2.5, -3.5])
+@pytest.mark.parametrize("kind", ["lambda_3_2", "chi"])
+def test_ray_sampler_continuous_at_series_seam(kind, th):
+    # t = 1 - h and 1 take the series, 1 + h takes W: a jump between the
+    # two shows in the second difference, which is O(h^2) for a smooth minor
+    h = 1e-9
+    v = ray_sampler(kind, th)(np.array([1.0 - h, 1.0, 1.0 + h]))
+    assert abs(v[2] - 2.0 * v[1] + v[0]) <= 1e-13 * abs(v[1])
 
 
 def test_grid_csv_export(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -77,18 +78,53 @@ def test_resum_exits_1_when_oracle_disagrees(capsys, monkeypatch):
     assert 0.5e-6 <= json.loads(out)["rel_error"] <= 2e-6
 
 
-@pytest.mark.parametrize("z", ["1e4+0j", "1e6+0j", "1e6@1.4"])
+@pytest.mark.parametrize("z", ["1e4+0j", "1e6+0j", "1e6@1.4", "1e5@-1.2"])
 @pytest.mark.parametrize("obj", ["lambda32", "chi", "mu"])
 def test_resum_large_z_against_exact_oracle(capsys, obj, z):
-    # --tol is relative even where the value is small: an exit 0 vouches
-    # for rel_error <= tol (lambda32 and chi may honestly exit 1 here)
+    # --tol is relative even where the value is small, and the minors
+    # stay accurate where the kernel only sees |xi| << 1
     code, out, _ = run_cli(capsys, "resum", "--object", obj, "--z", z)
-    assert code in (0, 1)
-    rel = json.loads(out)["rel_error"]
-    if code == 0:
-        assert rel <= 1e-10
-    if obj == "mu":
-        assert code == 0 and rel <= 1e-13
+    assert code == 0
+    assert json.loads(out)["rel_error"] <= 1e-13
+
+
+@pytest.mark.parametrize("z", ["10+1e4j", "1e3@-1.45"])
+@pytest.mark.parametrize("obj", ["lambda32", "chi", "mu"])
+def test_resum_default_theta_follows_arg_z(capsys, obj, z):
+    # at theta = 0 the kernel e^{-z t} oscillates 1e4 times per unit of t
+    # and the quadrature stalls; -arg z (clipped to 1.2) decays instead
+    code, out, _ = run_cli(capsys, "resum", "--object", obj, "--z", z)
+    assert code == 0
+    rec = json.loads(out)
+    arg = math.atan2(rec["z"][1], rec["z"][0])
+    assert rec["theta"] == min(1.2, max(-1.2, -arg))
+    assert rec["panels"] <= 50
+    assert rec["rel_error"] <= 1e-13
+
+
+@pytest.mark.parametrize("obj", ["lambda32", "chi", "mu"])
+def test_resum_calibrated_over_z_grid(obj):
+    # value within est_error of a 30-digit oracle, and relatively accurate,
+    # over |z| from 0.5 to 1e6 and |arg z| up to 1.4, as resum computes it
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30
+    for r in (0.5, 2.0, 30.0, 1e3, 1e5, 1e6):
+        for arg in (0.0, 0.7, -0.7, 1.4, -1.4):
+            z = r * cmath.exp(1j * arg)
+            theta = cli._resum_theta(obj, z)
+            res = cli._resum_ray(obj, z, theta, cli._resum_spec(obj, z, 1e-10))
+            zz = ctx.mpc(z)
+            mu = (ctx.loggamma(zz) - (zz - ctx.mpf(0.5)) * ctx.log(zz) + zz
+                  - ctx.log(2 * ctx.pi) / 2)
+            if obj == "mu":
+                truth = complex(mu)
+            else:
+                sign = 1 if obj == "lambda32" else -1
+                truth = complex(zz ** ctx.mpf(-1.5) * ctx.exp(sign * mu))
+            miss = abs(res.value - truth)
+            assert miss <= res.est_error, (z, res)
+            assert miss <= 1e-13 * abs(truth), (z, res)
 
 
 def test_stokes_record(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from gammares.borelplane import ray_sampler, surface_sampler
@@ -65,6 +66,34 @@ def test_tail_bound_unattainable():
     with pytest.raises(QuadratureError):
         laplace_ray(ray_sampler("lambda_3_2", 0.0), 0.0, 0.01 + 0j, tight,
                     growth=(0.5, 2.0))
+
+
+@pytest.mark.parametrize("z", [3.0, 30.0, 10 + 10j])
+def test_ray_never_integrates_below_lower(z):
+    base = ray_sampler("lambda_3_2", 0.0)
+    smallest = []
+
+    def minor(ts):
+        smallest.append(float(np.min(ts)))
+        return base(ts)
+
+    res = laplace_ray(minor, 0.0, z, SPEC, growth=(0.6, 3.0), lower=0.5)
+    assert res.panels > 0 and min(smallest) >= 0.5
+
+
+def test_ray_zero_when_tail_bound_holds_at_lower():
+    # (1 + 20) e^-100 is far below 0.1 abs_tol: nothing is left to integrate
+    calls = []
+
+    def minor(ts):
+        calls.append(ts)
+        return np.ones_like(ts, dtype=complex)
+
+    res = laplace_ray(minor, 0.0, 100.0, SPEC, growth=(1.0, 20.0), lower=1.0)
+    c, r = 100.0, 1.0
+    tail = math.exp(-c * r) * ((r / c + 1.0 / (c * c)) + 20.0 / c)
+    assert not calls and res.value == 0 and res.panels == 0
+    assert res.est_error == pytest.approx(tail, rel=1e-15)
 
 
 def test_asymptotic_expansion_at_large_x():
