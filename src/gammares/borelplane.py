@@ -51,6 +51,7 @@ TWO_PI = 2.0 * math.pi
 PROXIMITY_RADIUS = 1e-6 * TWO_PI
 _SQRT_2PI = math.sqrt(TWO_PI)
 _ONLINE_TOL = 1e-9
+_ON_LINE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,30 +83,6 @@ def _as_surface(xi) -> SurfacePoint:
 # ---------------------------------------------------------------------------
 # branch transport
 
-def _inner_up(k: int) -> int:
-    if k == 0:
-        return 0
-    if k == 1:
-        return -1
-    return k - 1
-
-
-def _inner_down(k: int) -> int:
-    if k == 0:
-        return 0
-    if k == -1:
-        return 1
-    return k + 1
-
-
-def _outer_up(k: int) -> int:
-    return k - 1
-
-
-def _outer_down(k: int) -> int:
-    return k + 1
-
-
 @dataclass(frozen=True)
 class _Kind:
     name: str
@@ -131,16 +108,14 @@ class _Kind:
         # side of a line Im xi = 2*pi*m on which x sits above the real axis
         return self.sign == 1
 
-    def transport(self, k: int, tau_up: bool, sigma: float) -> int:
-        x_up = tau_up if self.sign == 1 else (not tau_up)
-        if self.is_inner(sigma):
-            return _inner_up(k) if x_up else _inner_down(k)
-        return _outer_up(k) if x_up else _outer_down(k)
-
-    def from_below_to_ccc(self, k: int, sigma: float) -> int:
-        """Principal label whose from-above value equals label k's
-        from-below value at a point on the cut."""
-        return _inner_up(k) if self.is_inner(sigma) else _outer_up(k)
+    def transport(self, labels: tuple, tau_up: bool, sigma: float) -> tuple:
+        """Labels after one crossing of a line Im xi = 2*pi*m at Re xi =
+        sigma, by the table in the module docstring."""
+        s = -1 if tau_up == self.ccc_tau_positive() else 1   # x up: k -> k-1
+        if not self.is_inner(sigma):
+            return tuple(k + s for k in labels)
+        # on the inner segment W_0 is continuous and W_{-1}, W_1 trade places
+        return tuple(0 if k == 0 else s if k == -s else k + s for k in labels)
 
 
 _LAMBDA = _Kind("lambda_3_2", 0.0, (0, -1), 1.0 / _SQRT_2PI, +1)
@@ -228,35 +203,53 @@ def _arc_events(center: complex, radius: float, a0: float, a1: float):
     return events
 
 
-def _segment_events(z0: complex, z1: complex):
-    """Crossings of Im z = 2*pi*m along the straight segment z0 -> z1."""
-    dy = z1.imag - z0.imag
-    if dy == 0.0:
-        return []
+def _on_line(z: complex):
+    """Index m of the line Im z = 2*pi*m that z lies on, within
+    _ON_LINE_TOL * max(1, |z|), else None.  Polyline nodes built from
+    cmath.exp(1j * k * pi/4) miss their line by about 1e-16 |z|."""
+    m = round(z.imag / TWO_PI)
+    if abs(z.imag - TWO_PI * m) <= _ON_LINE_TOL * max(1.0, abs(z)):
+        return m
+    return None
+
+
+def _segment_events(z0: complex, z1: complex, ccc_up: bool):
+    """Crossings of Im z = 2*pi*m along the straight segment z0 -> z1,
+    counted by the sides of the two end nodes.  A node on a line (see
+    _on_line) counts as on its CCC side, where x meets the cut from above
+    and principal W values are the limits (above the line when ccc_up).
+    So a polyline passing a line at a node crosses it once, a start on a
+    line leaves from the CCC side, and an end on a line carries labels
+    whose principal values are the limits from its approach side."""
     events = []
+    dy = z1.imag - z0.imag
+    on0, on1 = _on_line(z0), _on_line(z1)
     mlo = math.floor(min(z0.imag, z1.imag) / TWO_PI) - 1
     mhi = math.ceil(max(z0.imag, z1.imag) / TWO_PI) + 1
     for m in range(mlo, mhi + 1):
-        t = (TWO_PI * m - z0.imag) / dy
-        if 1e-14 < t < 1.0 - 1e-14:
-            sigma = z0.real + t * (z1.real - z0.real)
-            events.append((t, m, sigma, dy > 0))
+        above0 = ccc_up if on0 == m else z0.imag > TWO_PI * m
+        above1 = ccc_up if on1 == m else z1.imag > TWO_PI * m
+        if above0 == above1:
+            continue
+        t = min(max((TWO_PI * m - z0.imag) / dy, 0.0), 1.0) if dy else 0.0
+        sigma = z0.real + t * (z1.real - z0.real)
+        events.append((t, m, sigma, above1))
     events.sort(key=lambda e: e[0])
     return events
 
 
 def _fold(kind: _Kind, labels, elements):
-    """Run the label pair through ('seg', z0, z1) / ('arc', c, r, a0, a1)
-    path elements."""
-    ka, kb = labels
+    """Run a tuple of labels through ('seg', z0, z1) / ('arc', c, r, a0, a1)
+    path elements.  Segments follow the node rule of _segment_events;
+    arcs skip crossings at their end angles."""
+    labels = tuple(labels)
     for el in elements:
-        evs = _segment_events(el[1], el[2]) if el[0] == "seg" else \
-            _arc_events(el[1], el[2], el[3], el[4])
+        evs = _segment_events(el[1], el[2], kind.ccc_tau_positive()) \
+            if el[0] == "seg" else _arc_events(el[1], el[2], el[3], el[4])
         for _, m, sigma, tau_up in evs:
             _check_prox(sigma, m)
-            ka = kind.transport(ka, tau_up, sigma)
-            kb = kind.transport(kb, tau_up, sigma)
-    return (ka, kb)
+            labels = kind.transport(labels, tau_up, sigma)
+    return labels
 
 
 def _anchor_departure(kind: _Kind, labels, r: float, dtheta: float):
@@ -269,9 +262,7 @@ def _anchor_departure(kind: _Kind, labels, r: float, dtheta: float):
         return labels
     sigma = r * math.cos(kind.anchor)
     _check_prox(sigma, 0)
-    ka, kb = labels
-    return (kind.transport(ka, tau_motion > 0, sigma),
-            kind.transport(kb, tau_motion > 0, sigma))
+    return kind.transport(labels, tau_motion > 0, sigma)
 
 
 def _endpoint_values(kind: _Kind, labels, endpoint: complex, approach_tau: float):
@@ -287,10 +278,9 @@ def _endpoint_values(kind: _Kind, labels, endpoint: complex, approach_tau: float
         if m != 0 and abs(sigma) < PROXIMITY_RADIUS:
             raise SingularProximityError(
                 f"evaluation within guard radius of 2*pi*i*{m}")
-        x_above = approach_tau != 0.0 and ((approach_tau > 0) == kind.ccc_tau_positive())
-        if approach_tau != 0.0 and not x_above:
-            ka = kind.from_below_to_ccc(ka, sigma)
-            kb = kind.from_below_to_ccc(kb, sigma)
+        if approach_tau != 0.0 and (approach_tau > 0) != kind.ccc_tau_positive():
+            # arrived from below the cut in x: cross onto the CCC side
+            ka, kb = kind.transport((ka, kb), kind.ccc_tau_positive(), sigma)
         x = complex(kind.x_real(sigma), 0.0)
     else:
         if m != 0 and abs(endpoint - 2j * math.pi * m) < PROXIMITY_RADIUS:
@@ -314,10 +304,7 @@ def _labels_at(kind: _Kind, r: float, theta: float):
         approach_tau = 1.0 if kind.ccc_tau_positive() else -1.0
     else:
         labels = _anchor_departure(kind, labels, r_rot, theta - kind.anchor)
-        for _, m, sigma, tau_up in _arc_events(0j, r_rot, kind.anchor, theta):
-            _check_prox(sigma, m)
-            labels = (kind.transport(labels[0], tau_up, sigma),
-                      kind.transport(labels[1], tau_up, sigma))
+        labels = _fold(kind, labels, [("arc", 0j, r_rot, kind.anchor, theta)])
         back = theta - (1e-9 if theta > kind.anchor else -1e-9)
         approach_tau = r_rot * math.sin(back) - TWO_PI * round(
             r_rot * math.sin(theta) / TWO_PI)
@@ -333,8 +320,7 @@ def _labels_at(kind: _Kind, r: float, theta: float):
             if t_m > r_rot:
                 sigma = t_m * math.cos(theta)
                 _check_prox(sigma, m if sin_th > 0 else -m)
-                labels = (kind.transport(labels[0], tau_up, sigma),
-                          kind.transport(labels[1], tau_up, sigma))
+                labels = kind.transport(labels, tau_up, sigma)
             m += 1
         tau_end = r * sin_th
         m_end = round(tau_end / TWO_PI)

@@ -11,23 +11,27 @@ known in closed form through Lambert W branches,
     Q_j(xi) = -1 + xi - W_j(-e^(-1+xi)),    j in Z,
 
 and they are real exactly when xi in (-inf, 0].  Continuing rho along a
-path of the log-Riemann surface therefore amounts to tracking these roots
+path of the log-Riemann surface therefore amounts to following these roots
 and deforming the Q-path so that each root stays on the side of the path
 it started on; a nontrivial final configuration is what produces the
-monodromy around the branch points 2*pi*i*Z.
+monodromy around the branch points 2*pi*i*Z.  The roots are never tracked
+numerically: x = -e^(-1+xi) is the x of borelplane's chi kind, so its
+branch-transport table folded along the xi-path gives the W label each
+root carries at the end, where it is evaluated once in closed form.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, QuadratureError,
-                     SingularProximityError)
+from .borelplane import _CHI, _fold, _on_line
+from .errors import DomainError, QuadratureError, SingularProximityError
 from .lambertw import lambert_w
 from .quadrature import QuadratureSpec, adaptive_quad
 from .reference import gamma_ref
@@ -152,9 +156,13 @@ def rho_nu_c(c, xi: complex, spec: QuadratureSpec = QuadratureSpec()) -> RhoResu
 # roots of the integrand and continuation
 
 def integrand_roots(xi: complex, js: Sequence[int] = _TRACKED_JS) -> dict:
-    """Zeros of xi + e^Q - Q - 1 by Lambert W branch index."""
+    """Zeros of xi + e^Q - Q - 1 by Lambert W branch index.  On a line
+    Im xi = 2*pi*m (borelplane's _on_line) x is put on its cut, so the
+    roots are the limits from below the line, where x lies above."""
     xi = complex(xi)
-    x = -cmath.exp(-1.0 + xi)
+    x = _CHI.x_of(xi)
+    if _on_line(xi) is not None:
+        x = complex(x.real, 0.0)
     return {j: -1.0 + xi - lambert_w(x, j).w for j in js}
 
 
@@ -168,34 +176,24 @@ def critical_values(kmax: int) -> list:
     return out
 
 
-def _advance_roots(roots: dict, xi: complex, max_newton: int = 40) -> dict:
-    out = {}
-    for j, q in roots.items():
-        qn = q
-        for _ in range(max_newton):
-            g = xi + cmath.exp(qn) - qn - 1.0
-            gp = cmath.exp(qn) - 1.0
-            if abs(gp) < 1e-14:
+# two roots sit 2 (2 d)^(1/2) apart at distance d from a point of 2*pi*i*Z,
+# so this keeps them 4e-3 apart along the whole path
+_PINCH_RADIUS = 2e-6
+
+
+def _check_pinch(path):
+    """Raise when a segment of the xi-path passes within _PINCH_RADIUS of
+    2*pi*i*Z, the origin included: there two integrand roots collide."""
+    for a, b in zip(path, path[1:]):
+        d = b - a
+        for m in range(math.floor(min(a.imag, b.imag) / (2.0 * math.pi)),
+                       math.ceil(max(a.imag, b.imag) / (2.0 * math.pi)) + 1):
+            p = 2j * math.pi * m
+            t = min(max(((p - a) / d).real, 0.0), 1.0) if d else 0.0
+            if abs(a + t * d - p) < _PINCH_RADIUS:
                 raise SingularProximityError(
-                    "root tracking hit a critical point of the phase function")
-            step = g / gp
-            qn -= step
-            if abs(step) <= 1e-13 * (1.0 + abs(qn)):
-                break
-        else:
-            raise ConvergenceError("root tracking Newton did not settle",
-                                   last=qn)
-        out[j] = qn
-    return out
-
-
-def _min_separation(roots: dict) -> float:
-    qs = list(roots.values())
-    best = math.inf
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            best = min(best, abs(qs[i] - qs[j]))
-    return best
+                    "integrand roots collide: the path is too close to a "
+                    "point of 2*pi*i*Z")
 
 
 def _build_path(roots: dict, flags: dict, t_l: float, t_r: float,
@@ -322,10 +320,14 @@ def rho_continue(c, path_xi: Sequence[complex],
                  spec: QuadratureSpec = QuadratureSpec()) -> RhoResult:
     """Analytic continuation of rho_lambda_c along a xi-path.
 
-    path_xi starts off (-inf, 0] and must avoid 2*pi*i*Z.  The integrand
-    roots are tracked along the path with adaptive substeps; each root is
-    pinned to the side of the Q-path it occupied at the start, and the
-    final path is rebuilt from that configuration.
+    path_xi is a polyline that starts off (-inf, 0] and keeps
+    _PINCH_RADIUS away from 2*pi*i*Z.  The W labels of the roots in
+    _TRACKED_JS are folded through it with borelplane's chi transport
+    (nodes on a line Im xi = 2*pi*m follow the node rule of
+    borelplane._segment_events), and the final roots are evaluated once
+    in closed form.  Each root is pinned to the side of the Q-path it
+    occupied at the start, and the final path is built from that
+    configuration.
     """
     ci = c if isinstance(c, CIndex) else CIndex(complex(c))
     ci.require_below(0.5, "rho_continue")
@@ -340,24 +342,13 @@ def rho_continue(c, path_xi: Sequence[complex],
         if abs(q.imag) < 1e-12:
             raise SingularProximityError("a root starts on the real path")
 
-    xi_cur = path_xi[0]
-    for target in path_xi[1:]:
-        while xi_cur != target:
-            sep = _min_separation(roots)
-            if sep < 4e-3:
-                raise SingularProximityError(
-                    "integrand roots collide: the path is too close to a "
-                    "point of 2*pi*i*Z")
-            remaining = target - xi_cur
-            # keep per-step root motion well under the separation scale
-            speed = max(abs(1.0 / (cmath.exp(q) - 1.0)) for q in roots.values())
-            step_cap = 0.2 * sep / max(speed, 1e-12)
-            frac = min(1.0, step_cap / abs(remaining))
-            xi_next = xi_cur + frac * remaining
-            roots = _advance_roots(roots, xi_next)
-            xi_cur = xi_next
+    _check_pinch(path_xi)
+    labels = _fold(_CHI, _TRACKED_JS,
+                   [("seg", a, b) for a, b in zip(path_xi, path_xi[1:])])
+    end = integrand_roots(path_xi[-1], labels)
+    roots = {j: end[k] for j, k in zip(_TRACKED_JS, labels)}
 
-    sep = _min_separation(roots)
+    sep = min(abs(a - b) for a, b in itertools.combinations(roots.values(), 2))
     clearance = min(0.3, 0.22 * sep)
     if clearance < 1.5e-3:
         raise SingularProximityError("no room to thread the integration path")
@@ -377,7 +368,8 @@ def rho_on_sheet(c, r: float, theta: float,
     if abs(theta) <= math.pi - 0.2:
         return rho_lambda_c(c, r * cmath.exp(1j * theta), spec)
     # chords of at most pi/4 stay r0 cos(pi/8) from the origin and far
-    # from 2*pi*i*Z*; rho_continue's controller sizes the substeps
+    # from 2*pi*i*Z*; nodes at multiples of pi lie on the line Im xi = 0,
+    # where rho_continue counts each crossing once
     r0 = min(r, 1.0)
     steps = math.ceil(abs(theta) / (math.pi / 4))
     path = [r0 * cmath.exp(1j * theta * k / steps) for k in range(steps + 1)]

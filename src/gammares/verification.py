@@ -241,17 +241,24 @@ def check_realmajor_continuation():
 
 # --- Stokes / alien checks ---------------------------------------------------
 
+# the lateral rays run at arg xi = pi/2 -+ STOKES_OFFSET; both kernels
+# decay only for STOKES_OFFSET - pi < arg z < -STOKES_OFFSET
+STOKES_OFFSET = 0.12
+
+
 def stokes_records(z: complex, spec: QuadratureSpec = None) -> dict:
     """Lateral transforms on both sides of the singular direction pi/2,
     the connection factor, and the reflection-formula reconstruction."""
     z = complex(z)
-    arg = cmath.phase(z)
-    if not -math.pi < arg < 0.0 or min(abs(arg), abs(arg + math.pi)) < 1e-3:
-        raise ValueError("z must satisfy -pi < arg z < 0, away from the axis")
+    if not STOKES_OFFSET - math.pi < cmath.phase(z) < -STOKES_OFFSET:
+        raise ValueError(f"z must satisfy -pi < arg z < 0, more than "
+                         f"{STOKES_OFFSET} away from both ends (the lateral "
+                         f"rays arg xi = pi/2 -+ {STOKES_OFFSET} need a "
+                         f"decaying kernel)")
     spec = spec or QuadratureSpec(rel_tol=1e-11, abs_tol=1e-12)
-    off = 0.12
     lat = {}
-    for side, th in (("below", math.pi / 2 - off), ("above", math.pi / 2 + off)):
+    for side, th in (("below", math.pi / 2 - STOKES_OFFSET),
+                     ("above", math.pi / 2 + STOKES_OFFSET)):
         lat[side] = laplace_ray(ray_sampler("lambda_3_2", th), th, z, spec,
                                 growth=(1.0, 25.0)).value
     factor = 1.0 / (1.0 - cmath.exp(-2j * math.pi * z))

@@ -141,6 +141,21 @@ def test_stokes_refuses_near_real_axis(capsys):
     assert "arg z" in err
     code, _, _ = run_cli(capsys, "stokes", "--z", "2@0.5")
     assert code == 2
+    # the lateral rays pi/2 -+ 0.12 need arg z more than 0.12 from 0 and -pi
+    for z in ("40@-0.05", "40@-3.1"):
+        code, out, err = run_cli(capsys, "stokes", "--z", z)
+        assert code == 2 and out == ""
+        assert "arg z" in err
+
+
+def test_stokes_exits_1_when_residual_exceeds_tol(capsys):
+    # Gamma(z) leaves double range from |z| ~ 160, so the reflection
+    # reconstruction fails there while the lateral values stay right
+    code, out, _ = run_cli(capsys, "stokes", "--z", "200@-0.7")
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["reflection_residual"] > 1e-11
+    assert rec["stokes_residual"] <= 1e-11
 
 
 def test_realmajor_record(capsys):

@@ -274,9 +274,8 @@ def test_random_paths_return_to_base():
 
 @pytest.mark.parametrize("c", [0.0, -0.5, 0.25])
 def test_rotation_leg_matches_fine_rotation(c):
-    # rho_on_sheet rotates in chords of at most pi/4 and lets the substep
-    # controller size the steps; 0.1-rad steps along the same arc must
-    # land on the same sheet and value
+    # rho_on_sheet rotates in chords of at most pi/4; 0.1-rad steps along
+    # the same arc must land on the same sheet and value
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
     for r in (0.2, 1.0, 6.0):
         for mag in (math.pi - 0.1, math.pi, 3.5, 4.0):
@@ -290,3 +289,43 @@ def test_rotation_leg_matches_fine_rotation(c):
                     path.append(r * cmath.exp(1j * theta))
                 fine = rho_continue(c, path, spec)
                 assert abs(got.value - fine.value) <= got.est_error, (r, theta)
+
+
+@pytest.mark.parametrize("path", [
+    # horizontal segment 1e-6 above 2 pi i, crossing no line
+    [1.0, 1 + (2 * math.pi + 1e-6) * 1j, -1 + (2 * math.pi + 1e-6) * 1j],
+    # segment 1e-6 above the origin
+    [1 + 1e-6j, -1 + 1e-6j],
+])
+def test_continue_refuses_pinching_segment(path):
+    from gammares.errors import SingularProximityError
+    with pytest.raises(SingularProximityError):
+        rho_continue(0.0, path)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.5, 0.25])
+def test_crossings_at_chord_nodes_counted(c):
+    # rho_on_sheet's pi/4 chords put nodes on the lines Im xi = 2 pi m
+    # (e^{i pi} misses its line by 1.2e-16); a path along the same arc
+    # whose interior nodes sit half a step off every line must land on
+    # the same sheet, or raise alike
+    from gammares.errors import SingularProximityError
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+    for r in (0.3, 1.0, 3.0):
+        for q in (5, 6, 7, 8):
+            for theta in (q * math.pi / 4, -q * math.pi / 4):
+                r0 = min(r, 1.0)
+                steps = 2 * math.ceil(abs(theta) / 0.2)   # even: no node on a line
+                path = ([r0] + [r0 * cmath.exp(1j * theta * (k + 0.5) / steps)
+                                for k in range(steps)]
+                        + [r0 * cmath.exp(1j * theta)])
+                if r > r0:
+                    path.append(r * cmath.exp(1j * theta))
+                try:
+                    got = rho_on_sheet(c, r, theta, spec)
+                except SingularProximityError:
+                    with pytest.raises(SingularProximityError):
+                        rho_continue(c, path, spec)
+                    continue
+                off = rho_continue(c, path, spec)
+                assert abs(got.value - off.value) <= got.est_error, (r, theta)
