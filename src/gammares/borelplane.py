@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,6 +53,8 @@ PROXIMITY_RADIUS = 1e-6 * TWO_PI
 _SQRT_2PI = math.sqrt(TWO_PI)
 _ONLINE_TOL = 1e-9
 _ON_LINE_TOL = 1e-12
+# exponents e for which e^e is a finite normal double
+_EXP_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,26 @@ class _Kind:
     unit: complex      # minor = unit * (W_slot0 - W_slot1); major = unit * W_slot0
     sign: int          # x = -exp(-1 - sign*xi); +1 lambda, -1 chi
 
+    def check_range(self, sigma: float):
+        """DomainError unless x = -exp(-1 - sign*xi) at Re xi = sigma is a
+        finite normal double."""
+        if not _EXP_RANGE[0] < -1.0 - self.sign * sigma < _EXP_RANGE[1]:
+            lo, hi = sorted(self.sign * (-1.0 - e) for e in _EXP_RANGE)
+            op = "-" if self.sign > 0 else "+"
+            raise DomainError(
+                f"x = -exp(-1 {op} xi) leaves double range at Re xi = "
+                f"{sigma:g}; the {self.name} evaluators need Re xi in "
+                f"({lo:.2f}, {hi:.2f})")
+
     def x_of(self, xi: complex) -> complex:
+        self.check_range(xi.real)
         return -cmath.exp(-1.0 - self.sign * xi)
 
     def x_of_array(self, xi) -> np.ndarray:
         return -np.exp(-1.0 - self.sign * np.asarray(xi, dtype=complex))
 
     def x_real(self, sigma: float) -> float:
+        self.check_range(sigma)
         return -math.exp(-1.0 - self.sign * sigma)
 
     def is_inner(self, sigma: float) -> bool:

@@ -8,13 +8,28 @@ laplace_real_major
                  direction, applied to a real-major
 
 Ray samplers map an ndarray of radii to values; surface samplers (majors,
-real-majors) are scalar callables (r, sheet_theta) -> complex.  The Hankel
-and real-major transforms are one circle piece plus laplace_ray over the
-difference of two sheets.
+real-majors) are scalar callables (r, sheet_theta) -> complex, each call
+costing up to milliseconds (a real-major is a Q-path quadrature).  The
+Hankel and real-major transforms are one circle piece plus two arms
+carrying the difference of two sheets.  Both pieces go through
+quadrature.product_quad: the closed-form kernel e^{-+z xi} (with its
+Jacobian) enters through its modified moments, and the surface sampler is
+called only at nested Chebyshev points, in psi on the circle and in
+s = log t on the arms, so the call count follows the sampler's smoothness,
+not the kernel's growth e^{|z| delta}.  A given explicit minor ray sampler
+(laplace_hankel's `minor_ray`) goes through laplace_ray instead.
+`LaplaceResult.panels` counts surface-sampler calls for the product-rule
+pieces and Gauss-Kronrod panels for laplace_ray.
+
+The product rule's est_error is never below the target it met,
+max(abs_tol, rel_tol |piece|).  Its noise floor includes the rounding of
+the kernel, 4 eps int |K f|.  Where that exceeds the target, as on a
+circle with |z| delta past about 12 at abs_tol 1e-12, it raises
+QuadratureError after 17 samples.
 
 Truncation radii come from caller-supplied linear growth certificates
 |f(xi)| <= A |xi| + B on the ray, turned into explicit tail bounds that
-are added to the reported error estimate.
+are added to the reported error estimate; the arms use laplace_ray's.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, QuadratureError, StokesJumpError
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import QuadratureSpec, QuadResult, adaptive_quad, product_quad
 from .reference import gamma_ref
 
 __all__ = [
@@ -173,30 +188,43 @@ def laplace_ray(minor, theta, z: complex, spec: QuadratureSpec,
     return LaplaceResult(value, err + tail, panels, z, th)
 
 
-def _sheet_difference(sample, th_a: float, th_b: float):
-    """Ray sampler t -> sample(t, th_a) - sample(t, th_b) built from a
-    scalar surface sampler, called one radius at a time."""
-    def ray(ts):
-        ts = np.asarray(ts, dtype=float)
-        diff = [sample(t, th_a) - sample(t, th_b) for t in ts.ravel()]
-        return np.array(diff, dtype=complex).reshape(ts.shape)
+def _hankel_arms(sample, sheets, th: float, z: complex, spec: QuadratureSpec,
+                 growth, d: float) -> QuadResult:
+    """int_d^inf e^{-z t e^{i th}} D(t) e^{i th} dt for the sheet difference
+    D(t) = sample(t, sheets[0]) - sample(t, sheets[1]) of a scalar surface
+    sampler, by product_quad in s = log t.  It is truncated at laplace_ray's
+    r_cut and carries its tail bound; panels counts sample calls."""
+    c = _decay_rate(z, th)
+    a_growth, b_growth = growth
+    r_cut = _tail_radius(c, a_growth, b_growth, 0.1 * spec.abs_tol,
+                         spec.max_radius, d)
+    tail = _tail_bound(c, a_growth, b_growth, r_cut)
+    if r_cut == d:
+        return QuadResult(0j, tail, 0)
+    ph = cmath.exp(1j * th)
+    zp = z * ph
 
-    return ray
+    def kernel(ss):
+        ts = np.exp(ss)
+        return np.exp(-zp * ts) * ts * ph
+
+    def difference(s):
+        t = math.exp(s)
+        return sample(t, sheets[0]) - sample(t, sheets[1])
+
+    arms = product_quad(kernel, difference, math.log(d), math.log(r_cut), spec)
+    return QuadResult(arms.value, arms.est_error + tail, 2 * arms.panels)
 
 
-def _circle(sample, zk: complex, d: float, psi0: float, psi1: float,
-            spec: QuadratureSpec):
-    """int e^{zk xi} sample(d, psi) d xi over xi = d e^{i psi}, psi from
-    psi0 to psi1; the scalar surface sampler is called one angle at a
-    time, kernel and Jacobian act on the whole node array."""
-    def f(psis):
-        psis = np.asarray(psis, dtype=float)
-        vals = np.array([sample(d, psi) for psi in psis.ravel()],
-                        dtype=complex).reshape(psis.shape)
+def _hankel_loop(sample, zk: complex, d: float, psi0: float, psi1: float,
+                 spec: QuadratureSpec) -> QuadResult:
+    """int e^{zk xi} sample(d, psi) d xi over xi = d e^{i psi}, psi from psi0
+    to psi1, by product_quad in psi; panels counts sample calls."""
+    def kernel(psis):
         xi = d * np.exp(1j * psis)
-        return np.exp(zk * xi) * vals * 1j * xi
+        return np.exp(zk * xi) * 1j * xi
 
-    return adaptive_quad(f, psi0, psi1, spec)
+    return product_quad(kernel, lambda psi: sample(d, psi), psi0, psi1, spec)
 
 
 def laplace_hankel(major, theta, z: complex, spec: QuadratureSpec,
@@ -208,11 +236,13 @@ def laplace_hankel(major, theta, z: complex, spec: QuadratureSpec,
     of radius delta collects the full turn [theta - 2 pi, theta]; the ray
     part integrates the minor from delta outward.  When `minor_ray` (an
     ndarray sampler of radii, as produced by borelplane.ray_sampler) is
-    omitted, the minor is taken as the pointwise monodromy variation
-    major(t, theta) - major(t, theta - 2 pi) -- valid only while the full
-    turn at radius t winds around no branch point but the origin, so pass
-    an explicit sampler whenever the ray extends past other singular
-    points.  The result is delta-independent.
+    given, laplace_ray integrates it.  Otherwise the minor is taken as the
+    pointwise monodromy variation major(t, theta) - major(t, theta - 2 pi)
+    and integrated by the product rule -- valid only while the full turn
+    at radius t winds around no branch point but the origin, so pass an
+    explicit sampler whenever the ray extends past other singular points.
+    The circle always uses the product rule.  The result is
+    delta-independent.
     """
     th = _theta_of(theta)
     z = complex(z)
@@ -220,10 +250,12 @@ def laplace_hankel(major, theta, z: complex, spec: QuadratureSpec,
     if not 0 < d < 2.0 * math.pi:
         raise DomainError("delta must sit below the first branch point")
     if minor_ray is None:
-        minor_ray = _sheet_difference(major, th, th - 2.0 * math.pi)
-    ray = laplace_ray(minor_ray, th, z, spec, growth=growth,
-                      sqrt_origin=False, lower=d)
-    circle = _circle(major, -z, d, th - 2.0 * math.pi, th, spec)
+        ray = _hankel_arms(major, (th, th - 2.0 * math.pi), th, z, spec,
+                           growth, d)
+    else:
+        ray = laplace_ray(minor_ray, th, z, spec, growth=growth,
+                          sqrt_origin=False, lower=d)
+    circle = _hankel_loop(major, -z, d, th - 2.0 * math.pi, th, spec)
     return LaplaceResult(circle.value + ray.value,
                          circle.est_error + ray.est_error,
                          circle.panels + ray.panels, z, th)
@@ -235,16 +267,17 @@ def laplace_real_major(rmajor, theta, z: complex, spec: QuadratureSpec,
 
     `rmajor` maps (t, sheet_theta) to the real-major value at t e^{i sheet}.
     The contour wraps the ray opposite to theta: two arms on the sheets
-    theta -+ pi, whose difference is integrated by laplace_ray from delta
-    outward, plus the connecting circle of radius delta with kernel
-    e^{+z xi}, all divided by 2 pi i.
+    theta -+ pi, whose difference is integrated from delta outward with
+    laplace_ray's truncation, plus the connecting circle of radius delta
+    with kernel e^{+z xi}, all divided by 2 pi i.  Both pieces use the
+    product rule, so `panels` counts rmajor calls.
     """
     th = _theta_of(theta)
     z = complex(z)
     d = spec.hankel_delta if delta is None else float(delta)
-    arms = laplace_ray(_sheet_difference(rmajor, th - math.pi, th + math.pi),
-                       th, z, spec, growth=growth, sqrt_origin=False, lower=d)
-    circle = _circle(rmajor, z, d, th - math.pi, th + math.pi, spec)
+    arms = _hankel_arms(rmajor, (th - math.pi, th + math.pi), th, z, spec,
+                        growth, d)
+    circle = _hankel_loop(rmajor, z, d, th - math.pi, th + math.pi, spec)
     return LaplaceResult((arms.value + circle.value) / (2j * math.pi),
                          (arms.est_error + circle.est_error) / (2.0 * math.pi),
                          arms.panels + circle.panels, z, th)

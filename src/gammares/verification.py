@@ -19,18 +19,18 @@ from .borelplane import (MINOR_LAMBDA32, SurfacePoint, alien, alien_plus,
                          germ_magnitude, germ_ratio, major_lambda32,
                          minor_chi, minor_germ_sampler, minor_lambda32,
                          ray_sampler, surface_sampler)
+from .errors import QuadratureError
 from .exactseries import (a_coefficients, double_factorial_odd, lambda_tilde,
                           series_exp, stirling_series)
 from .lambertw import lambert_w
-from .laplace import laplace_hankel, laplace_ray, laplace_real_major
+from .laplace import (_decay_rate, _tail_radius, laplace_hankel, laplace_ray,
+                      laplace_real_major)
 from .quadrature import QuadratureSpec, adaptive_quad
 from .realmajor import (minor_lambda1_contour, rho_continue, rho_lambda_c,
                         rho_nu_c, rho_on_sheet)
 
 __all__ = ["run_suite", "CHECKS", "FAST", "FULL", "CheckResult",
            "stokes_records"]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -248,7 +248,12 @@ STOKES_OFFSET = 0.12
 
 def stokes_records(z: complex, spec: QuadratureSpec = None) -> dict:
     """Lateral transforms on both sides of the singular direction pi/2,
-    the connection factor, and the reflection-formula reconstruction."""
+    the connection factor, and the reflection-formula reconstruction.
+
+    Raises ValueError up front for z whose lateral rays decay too weakly
+    to meet the tail bound inside spec.max_radius.  The reflection product
+    Gamma(z) Gamma(1-z) sin(pi z) / pi is summed in logs, so it stays
+    finite where Gamma itself leaves double range."""
     z = complex(z)
     if not STOKES_OFFSET - math.pi < cmath.phase(z) < -STOKES_OFFSET:
         raise ValueError(f"z must satisfy -pi < arg z < 0, more than "
@@ -256,28 +261,41 @@ def stokes_records(z: complex, spec: QuadratureSpec = None) -> dict:
                          f"rays arg xi = pi/2 -+ {STOKES_OFFSET} need a "
                          f"decaying kernel)")
     spec = spec or QuadratureSpec(rel_tol=1e-11, abs_tol=1e-12)
-    lat = {}
-    for side, th in (("below", math.pi / 2 - STOKES_OFFSET),
-                     ("above", math.pi / 2 + STOKES_OFFSET)):
-        lat[side] = laplace_ray(ray_sampler("lambda_3_2", th), th, z, spec,
-                                growth=(1.0, 25.0)).value
+    growth = (1.0, 25.0)
+    rays = (("below", math.pi / 2 - STOKES_OFFSET),
+            ("above", math.pi / 2 + STOKES_OFFSET))
+    for _, th in rays:
+        try:
+            _tail_radius(_decay_rate(z, th), *growth, 0.1 * spec.abs_tol,
+                         spec.max_radius, 0.0)
+        except QuadratureError as exc:
+            raise ValueError(
+                f"arg z = {cmath.phase(z):g} is too near the end of its range "
+                f"for |z| = {abs(z):g}: on the lateral ray arg xi = {th:g} "
+                f"the {exc}") from exc
+    lat = {side: laplace_ray(ray_sampler("lambda_3_2", th), th, z, spec,
+                             growth=growth).value
+           for side, th in rays}
     factor = 1.0 / (1.0 - cmath.exp(-2j * math.pi * z))
     stokes_resid = abs(lat["below"] - factor * lat["above"]) / abs(lat["below"])
     # Gamma on both sides of the reflection formula, reconstructed from
-    # the two lateral transforms
+    # the two lateral transforms: log lambda(z) and log lambda(w) for
+    # w = e^{i pi} z, plus the Stirling factors
     w = cmath.exp(1j * math.pi) * z
-    lam_plus = lat["below"] * z ** 1.5
-    lam_minus = -1j * w ** -1.5 / lat["above"]
-    gamma_plus = lam_plus * _SQRT_2PI * cmath.exp((z - 0.5) * cmath.log(z) - z)
-    gamma_minus = lam_minus * _SQRT_2PI * cmath.exp((w - 0.5) * cmath.log(w) - w)
-    reflection = gamma_plus * (-z) * gamma_minus * cmath.sin(math.pi * z) / math.pi
+    log_z, log_w = cmath.log(z), cmath.log(w)
+    log_lam_plus = cmath.log(lat["below"]) + 1.5 * log_z
+    log_lam_minus = -0.5j * math.pi - 1.5 * log_w - cmath.log(lat["above"])
+    log_reflection = (log_lam_plus + log_lam_minus + math.log(2.0 * math.pi)
+                      + (z - 0.5) * log_z - z + (w - 0.5) * log_w - w
+                      + cmath.log(-z) + reference._log_sin(math.pi * z)
+                      - math.log(math.pi))
     return {
         "z": [z.real, z.imag],
         "lateral_below": [lat["below"].real, lat["below"].imag],
         "lateral_above": [lat["above"].real, lat["above"].imag],
         "factor": [factor.real, factor.imag],
         "stokes_residual": stokes_resid,
-        "reflection_residual": abs(reflection - 1.0),
+        "reflection_residual": abs(cmath.exp(log_reflection) - 1.0),
     }
 
 

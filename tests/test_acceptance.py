@@ -16,7 +16,7 @@ CRITERIA = [
     (4, "resum_chi", 30.0),
     (5, "resum_mu", 30.0),
     (6, "hankel_major", 60.0),
-    (7, "realmajor_roundtrip", 300.0),
+    (7, "realmajor_roundtrip", 10.0),
     (8, "nu_variant", 60.0),
     (9, "contour_coefficients", 60.0),
     (10, "stokes_reflection", 60.0),

@@ -416,3 +416,25 @@ def test_alien_lateral_chi_down_is_plus_one():
     for m in (-1, -2, -3):
         mean, spread = germ_ratio(alien_plus(MINOR_CHI, 2j * math.pi * m), base_dn)
         assert abs(mean - 1.0) < 1e-9 and spread < 1e-9
+
+
+@pytest.mark.parametrize("evaluate,point", [
+    (minor_chi, 800.0),
+    (minor_lambda32, SurfacePoint(800.0, math.pi)),
+    (minor_lambda32, 800.0),
+    (major_chi, SurfacePoint(800.0, math.pi)),
+    (major_lambda32, -800.0 + 1j),
+])
+def test_past_double_range_raises_domain_error(evaluate, point):
+    # x = -exp(-1 -+ xi) overflows or underflows there; the scalar
+    # evaluators name the range instead of a bare OverflowError or a
+    # misleading logarithmic singularity at x = 0
+    with pytest.raises(DomainError, match="double range"):
+        evaluate(point)
+
+
+def test_inside_double_range_still_evaluates():
+    # x = -e^-701 is a normal double: W_0 ~ x and W_-1 ~ -701 - log 701
+    val = minor_lambda32(700.0)
+    assert val.imag == 0.0 and 250.0 < val.real < 300.0
+    assert minor_chi(SurfacePoint(700.0, math.pi)) == 1j * val

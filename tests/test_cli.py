@@ -141,21 +141,39 @@ def test_stokes_refuses_near_real_axis(capsys):
     assert "arg z" in err
     code, _, _ = run_cli(capsys, "stokes", "--z", "2@0.5")
     assert code == 2
-    # the lateral rays pi/2 -+ 0.12 need arg z more than 0.12 from 0 and -pi
-    for z in ("40@-0.05", "40@-3.1"):
+    # the lateral rays pi/2 -+ 0.12 need arg z more than 0.12 from 0 and -pi;
+    # just inside that, at small |z|, a lateral kernel decays too weakly
+    # for the tail bound inside max_radius, refused before integrating
+    for z in ("40@-0.05", "40@-3.1", "3@-0.13", "3@-3.0"):
         code, out, err = run_cli(capsys, "stokes", "--z", z)
         assert code == 2 and out == ""
         assert "arg z" in err
 
 
-def test_stokes_exits_1_when_residual_exceeds_tol(capsys):
-    # Gamma(z) leaves double range from |z| ~ 160, so the reflection
-    # reconstruction fails there while the lateral values stay right
-    code, out, _ = run_cli(capsys, "stokes", "--z", "200@-0.7")
-    assert code == 1
+@pytest.mark.parametrize("z", ["150@-0.7", "200@-0.7", "600@-1.5", "1000@-2.5"])
+def test_stokes_reflection_past_gamma_overflow(capsys, z):
+    # the reflection product is summed in logs, so it holds where Gamma(z)
+    # itself leaves double range (|z| > ~160)
+    code, out, _ = run_cli(capsys, "stokes", "--z", z)
+    assert code == 0
     rec = json.loads(out)
-    assert rec["reflection_residual"] > 1e-11
+    assert rec["reflection_residual"] <= 1e-11
     assert rec["stokes_residual"] <= 1e-11
+
+
+def test_stokes_exits_1_when_residual_exceeds_tol(capsys, monkeypatch):
+    # no natural input misses any more; the verdict is checked on a
+    # substituted record whose reflection residual exceeds --tol
+    def records(z, spec):
+        return {"z": [z.real, z.imag], "stokes_residual": 1e-15,
+                "reflection_residual": 1e-9}
+
+    monkeypatch.setattr(cli, "stokes_records", records)
+    code, out, _ = run_cli(capsys, "stokes", "--z", "2@-0.7", "--tol", "1e-11")
+    assert code == 1
+    assert json.loads(out)["reflection_residual"] == 1e-9
+    code, _, _ = run_cli(capsys, "stokes", "--z", "2@-0.7", "--tol", "1e-8")
+    assert code == 0
 
 
 def test_realmajor_record(capsys):

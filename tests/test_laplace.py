@@ -287,3 +287,85 @@ def test_ray_calibrated_at_large_z(kind, r):
             sign = 1 if kind == "lambda_3_2" else -1
             truth = complex(zz ** ctx.mpf(-1.5) * ctx.exp(sign * mu))
         assert abs(res.value - truth) <= res.est_error, (z, res)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.5, 0.25])
+def test_real_major_round_trip_grid(c):
+    # the wrapped contour over rho_on_sheet returns z^-c lambda(z) within
+    # est_error, with at most 160 real-major evaluations a trip
+    from gammares.realmajor import rho_on_sheet
+
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+    for r in (1.0, 3.0, 6.0, 10.0):
+        for arg in (0.0, 0.6, -0.6):
+            z = r * cmath.exp(1j * arg)
+            calls = []
+
+            def rho_surface(t, th):
+                calls.append((t, th))
+                return complex(rho_on_sheet(c, t, th, spec).value)
+
+            res = laplace_real_major(rho_surface, 0.0, z, spec,
+                                     growth=(0.0, 3.0))
+            ref = lambda_ref(z, c)
+            assert abs(res.value - ref) <= res.est_error, (z, res)
+            assert res.panels == len(calls) <= 160, (z, res)
+
+
+@pytest.mark.parametrize("z", ["15+0j", "20+0j", "30+0j", "10+10j"])
+def test_resum_realmajor_large_z_never_silently_wrong(capsys, z):
+    # e^{z xi} reaches e^{|z| delta} on the circle: the answer is either
+    # within tol (exit 0) or refused by the rounding floor (exit 3), fast
+    import time
+
+    from gammares.cli import main
+
+    t0 = time.perf_counter()
+    code = main(["resum", "--object", "realmajor_c", "--z", z])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert code in (0, 3), z
+    if code == 0:
+        import json
+        assert json.loads(out)["rel_error"] <= 1e-10
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("c", [-0.5, 0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("z", [1.0, 4.0, 10.0, 3 + 3j, 5 * cmath.exp(-1.1j)])
+def test_hankel_monomial_product_rule_grid(c, z):
+    # minor_ray=None: circle and sheet-difference arms both by the product
+    # rule, within est_error of z^-c, counting one call per major sample;
+    # |z| delta <= 4 keeps the circle's rounding floor below abs_tol
+    base = monomial_major_sampler(c)
+    calls = []
+
+    def major(r, th):
+        calls.append(r)
+        return base(r, th)
+
+    theta = -cmath.phase(z)
+    res = laplace_hankel(major, theta, z, SPEC, growth=(1.0, 1.0),
+                         delta=min(1.0, 4.0 / abs(z)))
+    expect = complex(z) ** -c
+    assert abs(res.value - expect) <= res.est_error, (c, z, res)
+    assert abs(res.value - expect) <= 1e-11 * max(1.0, abs(expect))
+    assert res.panels == len(calls)
+
+
+def test_hankel_circle_rounding_floor_fails_fast():
+    # e^{-z xi} reaches e^{|z| delta} = e^10 on the circle, so its rounding
+    # floor lies above abs_tol 1e-12: refused after 17 samples, not after
+    # thousands of panels
+    base = surface_sampler("lambda_3_2", major=True)
+    calls = []
+
+    def major(r, th):
+        calls.append(r)
+        return base(r, th)
+
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        laplace_hankel(major, 0.0, 10.0,
+                       QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12),
+                       delta=1.0, minor_ray=ray_sampler("lambda_3_2", 0.0))
+    assert len(calls) == 17

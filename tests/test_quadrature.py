@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gammares.errors import QuadratureError
-from gammares.quadrature import QuadratureSpec, adaptive_quad
+from gammares.quadrature import QuadratureSpec, adaptive_quad, product_quad
 
 SPEC = QuadratureSpec()
 
@@ -77,3 +77,66 @@ def test_reruns_are_bit_identical():
         assert res.value.imag.hex() == runs[0].value.imag.hex()
         assert res.est_error == runs[0].est_error
         assert res.panels == runs[0].panels
+
+
+class Sampler:
+    """Scalar sampler that records every point it is called at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(x)
+        return self.f(x)
+
+
+def test_product_rule_oscillating_kernel():
+    # 20 radians of kernel oscillation; the sampler's own smoothness sets
+    # the call count, and every sample is taken once
+    f = Sampler(lambda x: math.exp(x) / (1.0 + x * x))
+    res = product_quad(lambda x: np.exp(20j * x), f, -1.0, 2.0,
+                       QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
+    exact = 0.06246674693048766 + 0.05434383499818053j  # scipy quad, limit 200
+    assert abs(res.value - exact) <= res.est_error
+    assert res.est_error <= 1e-12 * abs(res.value)
+    assert res.panels == len(f.points) == len(set(f.points)) <= 129
+
+
+def test_product_rule_entire_sampler_stops_early():
+    # a cubic is exact from the first level on: the rule stops at n = 16
+    f = Sampler(lambda x: x ** 3 - x + 2.0)
+    res = product_quad(lambda x: np.exp(-x), f, 0.0, 1.0, SPEC)
+    exact = sum(c * m for c, m in zip((2.0, -1.0, 0.0, 1.0), _exp_moments(3)))
+    assert res.panels == 17
+    assert abs(res.value - exact) <= 1e-14
+
+
+def _exp_moments(k):
+    """int_0^1 x^j e^-x dx, j = 0..k, by the recursion m_j = j m_{j-1} - 1/e."""
+    out = [1.0 - math.exp(-1.0)]
+    for j in range(1, k + 1):
+        out.append(j * out[-1] - math.exp(-1.0))
+    return out
+
+
+def test_product_rule_rounding_floor_fails_fast():
+    # the kernel reaches e^40 while the integral stays O(1): the rounding
+    # floor 4 eps int|K f| is far above abs_tol, so the rule raises after
+    # the second level instead of sampling to the cap
+    f = Sampler(lambda psi: 1.0)
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        product_quad(lambda psi: np.exp(40.0 * np.exp(1j * psi)) * 1j
+                     * np.exp(1j * psi), f, -math.pi, math.pi, SPEC)
+    assert len(f.points) == 17
+
+
+def test_product_rule_noisy_sampler_raises():
+    # samples with 1e-8 relative noise cannot meet 1e-12: the plateau of the
+    # Chebyshev tail keeps the estimate up, and the rule gives up at n = 256
+    rng = np.random.default_rng(3)
+    f = Sampler(lambda x: math.cos(x) * (1.0 + 1e-8 * rng.standard_normal()))
+    with pytest.raises(QuadratureError, match="stalled"):
+        product_quad(lambda x: np.ones_like(x, dtype=complex), f, 0.0, 1.0,
+                     QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
+    assert len(f.points) == 257
